@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test bench bench-quick bench-eval bench-attacks bench-eval-smoke bench-attacks-smoke bench-smoke bench-load fuzz fuzz-smoke opt-smoke systest store-smoke load-smoke gate check examples clean
+.PHONY: all build test tables-comparison bench bench-quick bench-eval bench-attacks bench-eval-smoke bench-attacks-smoke bench-smoke bench-load fuzz fuzz-smoke opt-smoke systest store-smoke load-smoke gate check examples clean
 
 all: build
 
@@ -96,10 +96,15 @@ gate: build
 	  --fresh-attacks /tmp/BENCH_attacks_fresh.json \
 	  --fresh-load /tmp/BENCH_load_fresh.json $(GATE_FLAGS)
 
+# The attack-comparison table end to end (~11 s): every registry attack
+# the paper compares, against strict chip oracles.
+tables-comparison: build
+	dune exec bin/gklock_cli.exe -- tables --table=comparison
+
 # Everything a PR must keep green: full build (libs, CLI, examples,
-# benches), the test suite, a fuzz smoke, the system-test catalogue
-# and the perf regression gate.
-check: build test fuzz-smoke opt-smoke systest store-smoke gate
+# benches), the test suite, a fuzz smoke, the comparison table, the
+# system-test catalogue and the perf regression gate.
+check: build test fuzz-smoke opt-smoke tables-comparison systest store-smoke gate
 
 examples:
 	dune exec examples/quickstart.exe

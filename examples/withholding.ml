@@ -9,7 +9,7 @@ let () =
   let net = Benchmarks.tiny () in
   let clock_ps = Sta.clock_for net ~margin:4.5 in
   let design = Insertion.lock ~seed:3 net ~clock_ps ~n_gks:2 in
-  let stripped, _gk_keys = Insertion.strip_keygens design in
+  let stripped, gk_keys = Insertion.strip_keygens design in
   let locked_comb, _ = Combinationalize.run stripped in
   let oracle_comb, _ = Combinationalize.run net in
   let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
@@ -17,7 +17,9 @@ let () =
   (* --- bare GKs: the enhanced removal attack works --- *)
   let located = Enhanced_removal.locate locked_comb in
   Format.printf "bare GKs: structural locator finds %d GK(s)@." (List.length located);
-  let remodelled, outcome = Enhanced_removal.attack locked_comb ~oracle in
+  let remodelled, outcome =
+    Enhanced_removal.attack ~key_inputs:gk_keys locked_comb ~oracle
+  in
   (match outcome.Sat_attack.status with
   | Sat_attack.Key_recovered k ->
     Format.printf

@@ -4,15 +4,15 @@ type outcome = {
   dips : int;
   random_queries : int;
   exact : bool;
+  conflicts : int;
 }
 
-(* A self-contained DIP engine: one miter solver plus a parallel
-   "candidate" solver holding only the accumulated I/O constraints, from
-   which the current best key is extracted between iterations. *)
+(* The DIP loop over a {!Miter}, plus a key-only store from which the
+   current best key is extracted between iterations. *)
 let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
     ?seed ~budget ~locked ~key_inputs ~oracle () =
-  if Netlist.ffs locked <> [] then
-    invalid_arg "Appsat.run: locked netlist must be combinational";
+  let who = "Appsat.run" in
+  Miter.validate ~who locked ~key_inputs;
   (* An already-expired budget (deadline_s <= 0) yields a structured
      pessimistic outcome before any encoding, solving or oracle work. *)
   match Budget.check budget with
@@ -23,81 +23,18 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
       dips = 0;
       random_queries = 0;
       exact = false;
+      conflicts = 0;
     }
   | () ->
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
   let rng = Random.State.make [| seed; 0x4150 |] in
-  let x_pis =
-    List.filter
-      (fun pi ->
-        not (List.mem (Netlist.node locked pi).Netlist.name key_inputs))
-      (Netlist.inputs locked)
-  in
-  let x_names =
-    List.map (fun pi -> (Netlist.node locked pi).Netlist.name) x_pis
-  in
-  (* miter solver *)
-  let solver = Solver.create () in
-  let x_vars = Hashtbl.create 32 in
-  List.iter (fun n -> Hashtbl.replace x_vars n (Solver.new_var solver)) x_names;
-  let k1 = Hashtbl.create 16 and k2 = Hashtbl.create 16 in
-  List.iter
-    (fun k ->
-      Hashtbl.replace k1 k (Solver.new_var solver);
-      Hashtbl.replace k2 k (Solver.new_var solver))
-    key_inputs;
-  let shared tbl ~with_x id =
-    let nd = Netlist.node locked id in
-    if nd.Netlist.kind <> Netlist.Input then None
-    else
-      match Hashtbl.find_opt tbl nd.Netlist.name with
-      | Some v -> Some v
-      | None -> if with_x then Hashtbl.find_opt x_vars nd.Netlist.name else None
-  in
-  let vars1 = Tseitin.encode solver locked ~shared:(shared k1 ~with_x:true) in
-  let vars2 = Tseitin.encode solver locked ~shared:(shared k2 ~with_x:true) in
-  let diffs =
-    List.map
-      (fun (_, d) ->
-        let o = Solver.new_var solver in
-        let ol = Lit.pos o and x = Lit.pos vars1.(d) and y = Lit.pos vars2.(d) in
-        ignore (Solver.add_clause solver [ Lit.negate ol; x; y ]);
-        ignore (Solver.add_clause solver [ Lit.negate ol; Lit.negate x; Lit.negate y ]);
-        ignore (Solver.add_clause solver [ ol; Lit.negate x; y ]);
-        ignore (Solver.add_clause solver [ ol; x; Lit.negate y ]);
-        ol)
-      (Netlist.outputs locked)
-  in
-  ignore (Solver.add_clause solver diffs);
-  (* candidate solver: constraints only *)
-  let cand = Solver.create () in
-  let kc = Hashtbl.create 16 in
-  List.iter (fun k -> Hashtbl.replace kc k (Solver.new_var cand)) key_inputs;
+  let miter = Miter.create ~who locked ~key_inputs in
+  let solver = Miter.solver miter in
+  let cand = Miter.Keys.create miter in
+  let x_names = List.map fst (Miter.x_inputs locked ~key_inputs) in
   let add_io_constraint dip outs =
-    let pin s vars =
-      List.iter
-        (fun pi ->
-          let name = (Netlist.node locked pi).Netlist.name in
-          ignore (Solver.add_clause s [ Lit.make vars.(pi) (List.assoc name dip) ]))
-        x_pis;
-      List.iter
-        (fun (po, d) ->
-          ignore (Solver.add_clause s [ Lit.make vars.(d) (List.assoc po outs) ]))
-        (Netlist.outputs locked)
-    in
-    (* both key copies of the miter, and the candidate store *)
-    pin solver (Tseitin.encode solver locked ~shared:(shared k1 ~with_x:false));
-    pin solver (Tseitin.encode solver locked ~shared:(shared k2 ~with_x:false));
-    pin cand (Tseitin.encode cand locked ~shared:(shared kc ~with_x:false))
-  in
-  let extract_candidate () =
-    match Solver.solve cand with
-    | Solver.Sat ->
-      Some
-        (List.map
-           (fun k -> (k, Solver.value cand (Hashtbl.find kc k)))
-           key_inputs)
-    | Solver.Unsat -> None
+    Miter.constrain miter dip outs;
+    Miter.Keys.constrain cand dip outs
   in
   let random_dip () = List.map (fun n -> (n, Random.State.bool rng)) x_names in
   let locked_o = Oracle.of_netlist locked in
@@ -135,9 +72,22 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
       got;
     float_of_int !errors /. float_of_int queries_per_check
   in
-  let fallback = List.map (fun k -> (k, false)) key_inputs in
+  let candidate () =
+    Option.value (Miter.Keys.model cand)
+      ~default:(List.map (fun k -> (k, false)) key_inputs)
+  in
+  let outcome key error_rate dips exact =
+    {
+      key;
+      error_rate;
+      dips;
+      random_queries = !queries;
+      exact;
+      conflicts = Solver.conflicts solver;
+    }
+  in
   let exhausted dips =
-    let key = Option.value (extract_candidate ()) ~default:fallback in
+    let key = candidate () in
     let error_rate =
       (* a deadline or query cap may already be spent: report the
          pessimistic bound rather than burn more budget *)
@@ -145,7 +95,7 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
       | e -> e
       | exception Budget.Exhausted _ -> 1.0
     in
-    { key; error_rate; dips; random_queries = !queries; exact = false }
+    outcome key error_rate dips false
   in
   let rec loop dips =
     Budget.check budget;
@@ -157,8 +107,7 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
     in
     match verdict with
     | Solver.Unsat ->
-      let key = Option.value (extract_candidate ()) ~default:fallback in
-      { key; error_rate = 0.0; dips; random_queries = !queries; exact = true }
+      outcome (candidate ()) 0.0 dips true
     | Solver.Sat ->
       (* charge the iteration only once a DIP exists (see Sat_attack);
          the span opens after a successful tick and closes before any
@@ -169,21 +118,16 @@ let exec ?(check_every = 4) ?(error_threshold = 0.01) ?(queries_per_check = 50)
          ~args:[ ("iter", Cjson.Int dips); ("dips", Cjson.Int dips) ]
          "attack.iteration"
        @@ fun () ->
-       let dip =
-         List.map
-           (fun n -> (n, Solver.value solver (Hashtbl.find x_vars n)))
-           x_names
-       in
+       let dip = Miter.dip miter in
        let outs = Oracle.query oracle dip in
        add_io_constraint dip outs);
       let dips = dips + 1 in
       if dips mod check_every = 0 then begin
-        match extract_candidate () with
+        match Miter.Keys.model cand with
         | None -> loop dips
         | Some key ->
           let err = estimate key in
-          if err <= error_threshold then
-            { key; error_rate = err; dips; random_queries = !queries; exact = false }
+          if err <= error_threshold then outcome key err dips false
           else loop dips
       end
       else loop dips

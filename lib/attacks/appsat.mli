@@ -19,6 +19,7 @@ type outcome = {
   dips : int;
   random_queries : int;
   exact : bool;                  (** the miter went UNSAT: key is exact *)
+  conflicts : int;               (** CDCL conflicts of the miter solver *)
 }
 
 (** [exec ~budget ~locked ~key_inputs ~oracle ()] — framework entry:
@@ -27,7 +28,11 @@ type outcome = {
     [budget] runs out (one {!Budget.tick} per DIP; queries charged by
     the oracle).  Checks every [check_every] DIPs (default 4) with
     [queries_per_check] random queries (default 50), batched through the
-    63-lane engine path.  [seed] defaults to {!Fuzz_seed.value}. *)
+    63-lane engine path.  [seed] defaults to {!Fuzz_seed.value}.
+
+    @raise Invalid_argument if [locked] has flip-flops or a key is not
+    one of its primary inputs (checked before the budget, as in
+    {!Sat_attack.exec}). *)
 val exec :
   ?check_every:int ->
   ?error_threshold:float ->

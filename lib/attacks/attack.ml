@@ -127,7 +127,7 @@ let run_appsat ctx =
       | Some _ | None ->
         Approx_key { key = o.Appsat.key; error_rate = o.Appsat.error_rate }
   in
-  (v, 0)
+  (v, o.Appsat.conflicts)
 
 let run_brute ctx =
   let o =
@@ -164,7 +164,8 @@ let run_removal ctx =
 
 let run_enhanced_removal ctx =
   let rm, o =
-    Enhanced_removal.exec ~budget:ctx.budget ctx.locked ~oracle:ctx.oracle ()
+    Enhanced_removal.exec ~budget:ctx.budget ~key_inputs:ctx.key_inputs
+      ctx.locked ~oracle:ctx.oracle ()
   in
   of_sat ctx
     ~locked:(Some rm.Enhanced_removal.net)

@@ -87,19 +87,29 @@ let remodel src located =
   let swept, _ = Synth.optimize net in
   { net = swept; new_key_inputs = names }
 
-let exec ~budget src ~oracle () =
-  let located = locate src in
-  let rm = remodel src located in
+let exec ~budget ~key_inputs src ~oracle () =
+  let rm = remodel src (locate src) in
+  (* Original key inputs that survive the remodelling are still keys, not
+     X inputs to present to the chip. *)
+  let kept =
+    List.filter
+      (fun k ->
+        match Netlist.find rm.net k with
+        | Some id -> (Netlist.node rm.net id).Netlist.kind = Netlist.Input
+        | None -> false)
+      key_inputs
+  in
+  let rm = { rm with new_key_inputs = rm.new_key_inputs @ kept } in
   let outcome =
     Sat_attack.exec ~budget ~locked:rm.net ~key_inputs:rm.new_key_inputs
       ~oracle ()
   in
   (rm, outcome)
 
-let attack ?(max_iterations = 4096) src ~oracle =
+let attack ?(max_iterations = 4096) ~key_inputs src ~oracle =
   exec
     ~budget:(Budget.create ~max_iterations ())
-    src
+    ~key_inputs src
     ~oracle:(Oracle.of_fn oracle)
     ()
 

@@ -29,7 +29,9 @@ val locate : Netlist.t -> located_gk list
 
 type remodelled = {
   net : Netlist.t;
-  new_key_inputs : string list;  (** one per located GK, [erk<i>] *)
+  new_key_inputs : string list;
+      (** one per located GK, [erk<i>]; after {!attack}/{!exec}, followed by
+          the original key inputs still present in [net] *)
 }
 
 (** Replace each located GK with [XOR(x, erk<i>)]; the old structure is
@@ -37,9 +39,12 @@ type remodelled = {
 val remodel : Netlist.t -> located_gk list -> remodelled
 
 (** Locate, remodel and SAT-attack in one call; the oracle speaks for the
-    functionally correct chip. *)
+    functionally correct chip.  [key_inputs] are the locked netlist's key
+    inputs: those the remodelling leaves in place stay key inputs, so they
+    are never presented to the oracle. *)
 val attack :
   ?max_iterations:int ->
+  key_inputs:string list ->
   Netlist.t ->
   oracle:Sat_attack.oracle ->
   remodelled * Sat_attack.outcome
@@ -48,6 +53,7 @@ val attack :
     [budget] against a counted, memoized {!Oracle.t}. *)
 val exec :
   budget:Budget.t ->
+  key_inputs:string list ->
   Netlist.t ->
   oracle:Oracle.t ->
   unit ->

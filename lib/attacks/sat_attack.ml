@@ -15,128 +15,26 @@ type outcome = {
 let oracle_of_netlist ?(partial = false) net =
   Oracle.as_fn (Oracle.of_netlist ~partial net)
 
-(* Split the locked netlist's inputs into X inputs and key inputs. *)
-let classify_inputs locked key_inputs =
-  let is_key = Hashtbl.create 16 in
-  List.iter (fun k -> Hashtbl.replace is_key k ()) key_inputs;
-  List.partition
-    (fun pi -> not (Hashtbl.mem is_key (Netlist.node locked pi).Netlist.name))
-    (Netlist.inputs locked)
+let who = "Sat_attack.run"
 
 let exec ~budget ~locked ~key_inputs ~oracle () =
-  if Netlist.ffs locked <> [] then
-    invalid_arg "Sat_attack.run: locked netlist must be combinational";
-  List.iter
-    (fun k ->
-      match Netlist.find locked k with
-      | Some id when (Netlist.node locked id).Netlist.kind = Netlist.Input -> ()
-      | Some _ -> invalid_arg ("Sat_attack.run: " ^ k ^ " is not an input")
-      | None -> invalid_arg ("Sat_attack.run: no key input " ^ k))
-    key_inputs;
+  Miter.validate ~who locked ~key_inputs;
   (* An already-expired budget (deadline_s <= 0) yields a structured
      Budget_exhausted before any encoding, solving or oracle work. *)
   match Budget.check budget with
   | exception Budget.Exhausted _ ->
     { status = Budget_exhausted; iterations = 0; dips = []; conflicts = 0 }
   | () ->
-  let x_pis, _key_pis = classify_inputs locked key_inputs in
-  let x_names = List.map (fun pi -> (Netlist.node locked pi).Netlist.name) x_pis in
-  let solver = Solver.create () in
-  (* Shared X variables and the two key vectors. *)
-  let x_vars = Hashtbl.create 32 in
-  List.iter (fun n -> Hashtbl.replace x_vars n (Solver.new_var solver)) x_names;
-  let k1_vars = Hashtbl.create 16 and k2_vars = Hashtbl.create 16 in
-  List.iter
-    (fun k ->
-      Hashtbl.replace k1_vars k (Solver.new_var solver);
-      Hashtbl.replace k2_vars k (Solver.new_var solver))
-    key_inputs;
-  let shared_map key_tbl ?fix_x () id =
-    let nd = Netlist.node locked id in
-    if nd.Netlist.kind <> Netlist.Input then None
-    else
-      match Hashtbl.find_opt key_tbl nd.Netlist.name with
-      | Some v -> Some v
-      | None -> (
-        match fix_x with
-        | None -> Hashtbl.find_opt x_vars nd.Netlist.name
-        | Some _ -> None (* fresh var, pinned below *))
-  in
-  let encode_copy key_tbl = Tseitin.encode solver locked ~shared:(shared_map key_tbl ()) in
-  let vars1 = encode_copy k1_vars in
-  let vars2 = encode_copy k2_vars in
-  (* Miter output: OR over per-output XORs. *)
-  let diffs =
-    List.map
-      (fun (_, d) ->
-        let o = Solver.new_var solver in
-        let ol = Lit.pos o
-        and x = Lit.pos vars1.(d)
-        and y = Lit.pos vars2.(d) in
-        ignore (Solver.add_clause solver [ Lit.negate ol; x; y ]);
-        ignore (Solver.add_clause solver [ Lit.negate ol; Lit.negate x; Lit.negate y ]);
-        ignore (Solver.add_clause solver [ ol; Lit.negate x; y ]);
-        ignore (Solver.add_clause solver [ ol; x; Lit.negate y ]);
-        ol)
-      (Netlist.outputs locked)
-  in
-  ignore (Solver.add_clause solver diffs);
-  (* Add one I/O constraint copy (circuit at DIP X with key K forced to output Y) for a key vector. *)
-  let add_constraint key_tbl dip outs =
-    let vars =
-      Tseitin.encode solver locked
-        ~shared:(shared_map key_tbl ~fix_x:() ())
-    in
-    List.iter
-      (fun pi ->
-        let name = (Netlist.node locked pi).Netlist.name in
-        let v = List.assoc name dip in
-        ignore (Solver.add_clause solver [ Lit.make vars.(pi) v ]))
-      x_pis;
-    List.iter
-      (fun (po, d) ->
-        let v = List.assoc po outs in
-        ignore (Solver.add_clause solver [ Lit.make vars.(d) v ]))
-      (Netlist.outputs locked)
-  in
+  let miter = Miter.create ~who locked ~key_inputs in
+  let solver = Miter.solver miter in
+  (* The extracted key satisfies every DIP observation. *)
+  let keys = Miter.Keys.create miter in
   let dips = ref [] in
-  let extract_key () =
-    (* The K1 vector of a model of all accumulated constraints.  Build a
-       fresh solver holding only the constraint copies. *)
-    let s2 = Solver.create () in
-    let k_vars = Hashtbl.create 16 in
-    List.iter (fun k -> Hashtbl.replace k_vars k (Solver.new_var s2)) key_inputs;
-    List.iter
-      (fun (dip, outs) ->
-        let shared id =
-          let nd = Netlist.node locked id in
-          if nd.Netlist.kind = Netlist.Input then
-            Hashtbl.find_opt k_vars nd.Netlist.name
-          else None
-        in
-        let vars = Tseitin.encode s2 locked ~shared in
-        List.iter
-          (fun pi ->
-            let name = (Netlist.node locked pi).Netlist.name in
-            ignore (Solver.add_clause s2 [ Lit.make vars.(pi) (List.assoc name dip) ]))
-          x_pis;
-        List.iter
-          (fun (po, d) ->
-            ignore (Solver.add_clause s2 [ Lit.make vars.(d) (List.assoc po outs) ]))
-          (Netlist.outputs locked))
-      (List.rev !dips);
-    match Solver.solve s2 with
-    | Solver.Sat ->
-      List.map (fun k -> (k, Solver.value s2 (Hashtbl.find k_vars k))) key_inputs
-    | Solver.Unsat ->
-      (* Impossible unless the oracle is inconsistent with the netlist. *)
-      List.map (fun k -> (k, false)) key_inputs
-  in
   let finish status iter =
     {
       status;
       iterations = iter;
-      dips = List.rev_map fst !dips;
+      dips = List.rev !dips;
       conflicts = Solver.conflicts solver;
     }
   in
@@ -150,7 +48,11 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
     in
     match verdict with
     | Solver.Unsat ->
-      let key = extract_key () in
+      (* No model only if the oracle is inconsistent with the netlist. *)
+      let key =
+        Option.value (Miter.Keys.model keys)
+          ~default:(List.map (fun k -> (k, false)) key_inputs)
+      in
       let status =
         if iter = 0 then Unsat_at_first_iteration key else Key_recovered key
       in
@@ -168,15 +70,11 @@ let exec ~budget ~locked ~key_inputs ~oracle () =
            [ ("iter", Cjson.Int iter); ("dips", Cjson.Int (List.length !dips)) ]
          "attack.iteration"
        @@ fun () ->
-       let dip =
-         List.map
-           (fun n -> (n, Solver.value solver (Hashtbl.find x_vars n)))
-           x_names
-       in
+       let dip = Miter.dip miter in
        let outs = Oracle.query oracle dip in
-       dips := (dip, outs) :: !dips;
-       add_constraint k1_vars dip outs;
-       add_constraint k2_vars dip outs);
+       dips := dip :: !dips;
+       Miter.constrain miter dip outs;
+       Miter.Keys.constrain keys dip outs);
       loop (iter + 1)
   in
   (* On mid-iteration exhaustion the iteration was already charged
@@ -196,8 +94,7 @@ let run ?(max_iterations = 4096) ~locked ~key_inputs ~oracle () =
 let verify_key_o ?(samples = 64) ?seed ~locked ~key_inputs ~oracle key =
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
   let rng = Random.State.make [| seed; 0x5646 |] in
-  let x_pis, _ = classify_inputs locked key_inputs in
-  let x_names = List.map (fun pi -> (Netlist.node locked pi).Netlist.name) x_pis in
+  let x_names = List.map fst (Miter.x_inputs locked ~key_inputs) in
   let dips = ref [] in
   for _ = 1 to samples do
     dips := List.map (fun n -> (n, Random.State.bool rng)) x_names :: !dips

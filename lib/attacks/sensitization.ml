@@ -9,15 +9,7 @@ let exec ?(samples_other = 8) ?seed ~budget ~locked ~key_inputs ~oracle () =
     invalid_arg "Sensitization.run: locked netlist must be combinational";
   let seed = match seed with Some s -> s | None -> Fuzz_seed.value () in
   let rng = Random.State.make [| seed; 0x534e |] in
-  let x_pis =
-    List.filter
-      (fun pi ->
-        not (List.mem (Netlist.node locked pi).Netlist.name key_inputs))
-      (Netlist.inputs locked)
-  in
-  let x_names =
-    List.map (fun pi -> (Netlist.node locked pi).Netlist.name) x_pis
-  in
+  let x_names = List.map fst (Miter.x_inputs locked ~key_inputs) in
   let patterns = ref 0 in
   (* attacker-side simulation of the locked netlist: free, not a chip
      query — it never counts against the oracle budget *)
@@ -35,13 +27,7 @@ let exec ?(samples_other = 8) ?seed ~budget ~locked ~key_inputs ~oracle () =
     let x_vars = Hashtbl.create 32 in
     List.iter (fun n -> Hashtbl.replace x_vars n (Solver.new_var solver)) x_names;
     let copy sample target_value =
-      let shared id =
-        let nd = Netlist.node locked id in
-        if nd.Netlist.kind = Netlist.Input then
-          Hashtbl.find_opt x_vars nd.Netlist.name
-        else None
-      in
-      let vars = Tseitin.encode solver locked ~shared in
+      let vars = Miter.encode solver locked ~bind:(Hashtbl.find_opt x_vars) in
       List.iter
         (fun (k, b) ->
           match Netlist.find locked k with
@@ -52,24 +38,10 @@ let exec ?(samples_other = 8) ?seed ~budget ~locked ~key_inputs ~oracle () =
     in
     List.iter
       (fun sample ->
-        let v0 = copy sample false and v1 = copy sample true in
-        let diffs =
-          List.map
-            (fun (_, d) ->
-              let o = Solver.new_var solver in
-              let ol = Lit.pos o
-              and x = Lit.pos v0.(d)
-              and y = Lit.pos v1.(d) in
-              ignore (Solver.add_clause solver [ Lit.negate ol; x; y ]);
-              ignore
-                (Solver.add_clause solver
-                   [ Lit.negate ol; Lit.negate x; Lit.negate y ]);
-              ignore (Solver.add_clause solver [ ol; Lit.negate x; y ]);
-              ignore (Solver.add_clause solver [ ol; x; Lit.negate y ]);
-              ol)
-            (Netlist.outputs locked)
-        in
-        ignore (Solver.add_clause solver diffs))
+        let v0 = copy sample false in
+        let v1 = copy sample true in
+        Miter.differ solver
+          (List.map (fun (_, d) -> (v0.(d), v1.(d))) (Netlist.outputs locked)))
       samples;
     match Solver.solve solver with
     | Solver.Unsat -> None

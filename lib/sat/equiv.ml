@@ -20,14 +20,9 @@ let check ?(fixed_a = []) ?(fixed_b = []) a b =
   List.iter
     (fun name -> Hashtbl.replace shared_vars name (Solver.new_var solver))
     shared_names;
-  let shared_for net id =
-    let nd = Netlist.node net id in
-    if nd.Netlist.kind = Netlist.Input then
-      Hashtbl.find_opt shared_vars nd.Netlist.name
-    else None
-  in
-  let vars_a = Tseitin.encode solver a ~shared:(shared_for a) in
-  let vars_b = Tseitin.encode solver b ~shared:(shared_for b) in
+  let bind = Hashtbl.find_opt shared_vars in
+  let vars_a = Miter.encode solver a ~bind in
+  let vars_b = Miter.encode solver b ~bind in
   let pin net vars (name, value) =
     match Netlist.find net name with
     | Some id when (Netlist.node net id).Netlist.kind = Netlist.Input ->
@@ -37,24 +32,11 @@ let check ?(fixed_a = []) ?(fixed_b = []) a b =
   in
   List.iter (pin a vars_a) fixed_a;
   List.iter (pin b vars_b) fixed_b;
-  (* diff_o <-> po_a xor po_b, for each output; assert OR of diffs. *)
-  let diffs =
-    List.map
-      (fun (po, da) ->
-        let db = List.assoc po (Netlist.outputs b) in
-        let d = Solver.new_var solver in
-        let o = Lit.pos d
-        and x = Lit.pos vars_a.(da)
-        and y = Lit.pos vars_b.(db) in
-        ignore (Solver.add_clause solver [ Lit.negate o; x; y ]);
-        ignore
-          (Solver.add_clause solver [ Lit.negate o; Lit.negate x; Lit.negate y ]);
-        ignore (Solver.add_clause solver [ o; Lit.negate x; y ]);
-        ignore (Solver.add_clause solver [ o; x; Lit.negate y ]);
-        Lit.pos d)
-      (Netlist.outputs a)
-  in
-  ignore (Solver.add_clause solver diffs);
+  (* Some same-named output pair must differ. *)
+  Miter.differ solver
+    (List.map
+       (fun (po, da) -> (vars_a.(da), vars_b.(List.assoc po (Netlist.outputs b))))
+       (Netlist.outputs a));
   match Solver.solve solver with
   | Solver.Unsat -> Equivalent
   | Solver.Sat ->

@@ -1,8 +1,8 @@
 (** Tseitin encoding of combinational netlists into a {!Solver}.
 
     Each node gets one solver variable; every gate contributes the standard
-    constraint clauses.  Sharing is explicit: the [shared] callback lets the
-    SAT attack put two copies of a locked netlist over the same primary
+    constraint clauses.  Sharing is explicit: the [shared] callback lets
+    {!Miter} put two copies of a locked netlist over the same primary
     input variables while keeping their key variables distinct. *)
 
 (** [encode solver net ~shared] adds clauses for every live node of the

@@ -107,7 +107,27 @@ let test_sat_attack_guards () =
   Alcotest.(check bool) "rejects unknown key" true
     (match Sat_attack.run ~locked:comb ~key_inputs:[ "nope" ] ~oracle () with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "appsat rejects sequential" true
+    (match Appsat.run ~locked:net ~key_inputs:[] ~oracle () with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.check_raises "appsat rejects unknown key"
+    (Invalid_argument "Appsat.run: no key input nope") (fun () ->
+      ignore (Appsat.run ~locked:comb ~key_inputs:[ "nope" ] ~oracle ()))
+
+(* AppSAT's DIP loop runs a CDCL miter like [sat]: its conflicts are
+   reported, not zeroed. *)
+let test_appsat_reports_conflicts () =
+  let comb = comb_circuit 7 in
+  let lk = Sarlock.lock ~seed:7 comb ~n_keys:8 in
+  let o =
+    Attack.run ~seed:7 ~name:"appsat" ~locked:lk.Locked.net
+      ~key_inputs:lk.Locked.key_inputs ~oracle:(Oracle.of_netlist comb) ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "conflicts %d > 0" o.Attack.conflicts)
+    true (o.Attack.conflicts > 0)
 
 (* The paper's SARLock claim: the attack needs one DIP per wrong key. *)
 let test_sarlock_iteration_count () =
@@ -330,13 +350,13 @@ let test_enhanced_locate_and_attack () =
   let net = Benchmarks.tiny () in
   let clock = Sta.clock_for net ~margin:4.5 in
   let d = Insertion.lock ~seed:3 net ~clock_ps:clock ~n_gks:2 in
-  let stripped, _ = Insertion.strip_keygens d in
+  let stripped, keys = Insertion.strip_keygens d in
   let locked_comb, _ = Combinationalize.run stripped in
   let located = Enhanced_removal.locate locked_comb in
   Alcotest.(check int) "locates both GKs" 2 (List.length located);
   let oracle_comb, _ = Combinationalize.run net in
   let oracle = Sat_attack.oracle_of_netlist ~partial:true oracle_comb in
-  let rm, o = Enhanced_removal.attack locked_comb ~oracle in
+  let rm, o = Enhanced_removal.attack ~key_inputs:keys locked_comb ~oracle in
   (match o.Sat_attack.status with
   | Sat_attack.Key_recovered k ->
     Alcotest.(check int) "decrypts (paper V-D)" 0
@@ -348,6 +368,22 @@ let test_enhanced_locate_and_attack () =
       (Sat_attack.verify_key ~locked:rm.Enhanced_removal.net
          ~key_inputs:rm.Enhanced_removal.new_key_inputs ~oracle k)
   | Sat_attack.Budget_exhausted -> Alcotest.fail "attack exhausted")
+
+(* The remodelled netlist keeps the GK key inputs as dangling PIs; they
+   must stay keys, or the strict chip oracle is asked about them. *)
+let test_enhanced_strict_chip () =
+  let net = Benchmarks.tiny () in
+  let clock = Sta.clock_for net ~margin:4.5 in
+  let d = Insertion.lock ~seed:3 net ~clock_ps:clock ~n_gks:2 in
+  let stripped, keys = Insertion.strip_keygens d in
+  let locked, _ = Combinationalize.run stripped in
+  let chip, _ = Combinationalize.run net in
+  let o =
+    Attack.run ~seed:3 ~name:"enhanced-removal" ~locked ~key_inputs:keys
+      ~oracle:(Oracle.of_netlist chip) ()
+  in
+  Alcotest.(check string) "verdict" "key_recovered"
+    (Attack.verdict_name o.Attack.verdict)
 
 let test_enhanced_blinded_by_withholding () =
   let net = Benchmarks.tiny () in
@@ -429,6 +465,7 @@ let suites =
       [
         tc "budget" `Quick test_sat_attack_budget;
         tc "guards" `Quick test_sat_attack_guards;
+        tc "appsat reports conflicts" `Quick test_appsat_reports_conflicts;
         tc "sarlock ~2^n DIPs" `Slow test_sarlock_iteration_count;
         qcheck ~count:10 "recovers XOR keys" seed_arb sat_recovers_xor_law;
         qcheck ~count:10 "recovers MUX keys" seed_arb sat_recovers_mux_law;
@@ -458,6 +495,7 @@ let suites =
     ( "attacks.enhanced_removal",
       [
         tc "locate + remodel + SAT" `Quick test_enhanced_locate_and_attack;
+        tc "strict chip oracle" `Quick test_enhanced_strict_chip;
         tc "blinded by withholding" `Quick test_enhanced_blinded_by_withholding;
       ] );
     ( "attacks.opt_parity",

@@ -293,6 +293,63 @@ let test_equiv_po_mismatch () =
     (Invalid_argument "Equiv.check: primary-output name sets differ")
     (fun () -> ignore (Equiv.check a b))
 
+(* ----- Miter ----- *)
+
+(* Two copies of [a] and [b] over shared inputs, outputs paired by
+   position. *)
+let miter_solve a b =
+  let solver = Solver.create () in
+  let shared = Hashtbl.create 8 in
+  let bind name =
+    match Hashtbl.find_opt shared name with
+    | Some v -> Some v
+    | None ->
+      let v = Solver.new_var solver in
+      Hashtbl.replace shared name v;
+      Some v
+  in
+  let va = Miter.encode solver a ~bind in
+  let vb = Miter.encode solver b ~bind in
+  Miter.differ solver
+    (List.map2
+       (fun (_, da) (_, db) -> (va.(da), vb.(db)))
+       (Netlist.outputs a) (Netlist.outputs b));
+  Solver.solve solver
+
+let miter_net ~invert =
+  let n = Netlist.create "m" in
+  let x = Netlist.add_input n "x" in
+  let y = Netlist.add_input n "y" in
+  let g = Netlist.add_gate n Cell.Xor [| x; y |] in
+  let h = Netlist.add_gate n Cell.And [| x; y |] in
+  let inv id = if invert then Netlist.add_gate n Cell.Not [| id |] else id in
+  Netlist.add_output n "o1" g;
+  Netlist.add_output n "o2" (inv h);
+  n
+
+let test_miter_differ () =
+  let net = miter_net ~invert:false in
+  Alcotest.(check bool) "self: unsat" true
+    (miter_solve net net = Solver.Unsat);
+  Alcotest.(check bool) "inverted output: sat" true
+    (miter_solve net (miter_net ~invert:true) = Solver.Sat)
+
+(* y = x xor k: observing y = x and y = not x at the same x leaves no
+   key. *)
+let test_miter_keys_inconsistent () =
+  let net = Netlist.create "lk" in
+  let x = Netlist.add_input net "x" in
+  let k = Netlist.add_input net "k" in
+  Netlist.add_output net "y" (Netlist.add_gate net Cell.Xor [| x; k |]);
+  let m = Miter.create ~who:"test" net ~key_inputs:[ "k" ] in
+  let keys = Miter.Keys.create m in
+  Miter.Keys.constrain keys [ ("x", true) ] [ ("y", true) ];
+  Alcotest.(check (option (list (pair string bool))))
+    "one observation" (Some [ ("k", false) ]) (Miter.Keys.model keys);
+  Miter.Keys.constrain keys [ ("x", true) ] [ ("y", false) ];
+  Alcotest.(check (option (list (pair string bool))))
+    "contradiction" None (Miter.Keys.model keys)
+
 (* ----- Dimacs ----- *)
 
 let test_dimacs_roundtrip () =
@@ -327,6 +384,11 @@ let suites =
           solver_vs_brute_law;
         qcheck ~count:100 "incremental = batch" random_cnf_arb
           solver_incremental_law;
+      ] );
+    ( "sat.miter",
+      [
+        tc "differ" `Quick test_miter_differ;
+        tc "keys: inconsistent oracle" `Quick test_miter_keys_inconsistent;
       ] );
     ( "sat.tseitin",
       [
