@@ -17,7 +17,9 @@ bench-quick:
 	dune exec bench/main.exe -- --quick
 
 # Evaluation-engine micro-benchmarks; verifies engine/seed-path equivalence
-# on every benchmark and writes BENCH_eval.json.
+# on every benchmark (scalar, one word, and an 8-word block with a partial
+# last word), fails if the largest circuit's block throughput drops below
+# the committed BENCH_eval.json value / 1.5, and rewrites BENCH_eval.json.
 bench-eval:
 	dune exec bench/bench_eval.exe
 

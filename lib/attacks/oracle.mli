@@ -35,18 +35,19 @@
 
     Batched queries ({!query_batch}) route through the multi-word
     {!Netlist.Engine.eval_block} path: distinct memo misses are
-    bit-transposed into blocks of [block_words * 63] stimulus lanes, each
+    bit-transposed into blocks of 8 words ([8 * 63] stimulus lanes), each
     block evaluated in one pass over the compiled instruction stream, and
-    on large engines pending blocks are sharded across a bounded domain
-    pool ({!Parallel.map} semantics — nested use degrades to sequential).
-    This is the fast path for sampling workloads (brute force, AppSAT
+    on large engines the lane range is sharded across a bounded domain
+    pool, one engine scratch per domain ({!Parallel.map} semantics —
+    nested use degrades to sequential).  This lane-range sharding is the
+    only place oracle evaluation runs in parallel.  This is the fast path for sampling workloads (brute force, AppSAT
     error estimation, removal-equivalence checks, [verify_key]). *)
 
 type t
 
-(** [of_netlist ?partial ?budget ?memo ?memo_cap ?block_words ?shards
-    net] wraps [net] (combinational, or any netlist whose FF outputs are
-    to be driven directly) as an oracle.
+(** [of_netlist ?partial ?budget ?memo ?memo_cap ?shards ?optimize net]
+    wraps [net] (combinational, or any netlist whose FF outputs are to
+    be driven directly) as an oracle.
 
     [partial] (default false): read unmentioned sources as false instead
     of raising.  [memo] (default true): cache query results.  [memo_cap]
@@ -56,29 +57,22 @@ type t
     memo keeps {!queries} monotone but can re-evaluate (and re-charge)
     a vector whose entry was evicted.
 
-    [block_words] (default 8): words per {!Netlist.Engine.eval_block}
-    pass on the batched path, i.e. [block_words * 63] lanes per
-    instruction-stream walk.  [shards] forces the batch domain-pool
-    width; by default sharding engages only on engines of a few thousand
-    slots and uses [Parallel.default_domains ()].  [~shards:1] disables
-    sharding.
+    [shards] forces the batch domain-pool width; by default sharding
+    engages only on engines of a few thousand slots and uses
+    [Parallel.default_domains ()].  [~shards:1] disables sharding.
 
     [optimize] (default false): run the {!Opt} strash/rewrite front-end
     on [net] and simulate the optimized twin instead.  The twin keeps
     source names, source order and output names, so queries and
     responses are byte-identical — only the instruction stream shrinks.
-    Batched queries additionally route through a fused
-    {!Netlist.Engine.plan} on the single-domain path.
 
     The netlist must not be mutated while wrapped.
-    @raise Invalid_argument if [memo_cap], [block_words] or [shards]
-    is [< 1]. *)
+    @raise Invalid_argument if [memo_cap] or [shards] is [< 1]. *)
 val of_netlist :
   ?partial:bool ->
   ?budget:Budget.t ->
   ?memo:bool ->
   ?memo_cap:int ->
-  ?block_words:int ->
   ?shards:int ->
   ?optimize:bool ->
   Netlist.t ->
@@ -111,7 +105,7 @@ val of_fn :
 val query : t -> (string * bool) list -> (string * bool) list
 
 (** [query_batch t qs] evaluates all of [qs] — duplicate and memoized
-    vectors cost nothing; distinct misses are packed [block_words * 63]
+    vectors cost nothing; distinct misses are packed [8 * 63]
     per engine pass and sharded across domains on large engines.
     Results are in request order.  The whole batch of misses is charged
     to the budget {e before} evaluation starts, so [Budget.Exhausted]

@@ -19,8 +19,9 @@ type node = {
 type po = { po_name : string; mutable driver : int }
 
 (* A netlist compiled to a flat instruction stream: one instruction per
-   combinational node in topological order, fanins flattened into a single
-   array addressed by [offs].  Evaluation then needs no node records, no
+   combinational node in topological order, each with a fused opcode for
+   its (function, arity) class, fanins flattened into a single array
+   addressed by [offs].  Evaluation then needs no node records, no
    per-call fanin allocation and no hashing — just int arrays.
 
    Values live in *slots*, not node ids: sources take slots
@@ -29,13 +30,15 @@ type po = { po_name : string; mutable driver : int }
    the value array in the same order it walks the instruction stream, and
    a fanin read is always a lower slot.  Slot [n_slots] is a spare
    always-zero slot that dead fanins are wired to.  [slot_of_id] /
-   [id_of_slot] translate for consumers that think in node ids. *)
+   [id_of_slot] translate for consumers that think in node ids.  An
+   engine is never written after compile; all evaluation state lives in
+   a [scratch]. *)
 type engine = {
   eng_gen : int;  (* generation of the netlist this was compiled from *)
   eng_nodes : int;
   n_srcs : int;  (* sources occupy slots 0..n_srcs-1, declaration order *)
   n_slots : int;  (* live slots; buffers carry one extra all-zero slot *)
-  ops : int array;  (* opcode per instruction, see [opcode_of_fn] *)
+  ops : int array;  (* fused opcode per instruction, see [Engine.spec_op] *)
   dst : int array;  (* destination slot per instruction *)
   offs : int array;  (* length = #instructions + 1; slice of [fan] *)
   fan : int array;  (* flattened fanin slots *)
@@ -45,19 +48,21 @@ type engine = {
   zero_slots : int array;  (* Const-false slots plus the spare zero slot *)
   slot_of_id : int array;  (* node id -> slot, -1 for Dead *)
   id_of_slot : int array;  (* slot -> node id, length n_slots *)
-  mutable eng_scratch : scratch option;  (* lazily created owned scratch *)
+  eng_scratch : scratch;  (* default scratch when ?scratch is omitted *)
 }
 
-(* Reusable evaluation buffers, all indexed by slot.  One scratch belongs
-   to exactly one engine; the engine-owned one makes steady-state
-   evaluation allocation-free, and independent scratches can be created
-   per domain for parallel evaluation of the same engine. *)
+(* Everything an evaluation writes: the value buffer ([n_words] words
+   per slot, grown to the widest block seen) and the engine's fanin and
+   destination slots pre-scaled to word offsets for the last [n_words]
+   (at one word, the engine's own arrays).  One scratch belongs to
+   exactly one engine and one domain at a time; evaluating the same
+   engine from several domains takes one scratch per domain. *)
 and scratch = {
   sc_owner : engine;
-  sc_bools : bool array;  (* n_slots + 1 *)
-  sc_words : int array;  (* n_slots + 1 *)
-  mutable sc_block : int array;  (* (n_slots + 1) * block words, grown *)
-  mutable sc_block_words : int;
+  mutable sc_block : int array;  (* >= (n_slots + 1) * sc_words *)
+  mutable sc_words : int;
+  mutable sc_fan : int array;  (* fan * sc_words *)
+  mutable sc_dst : int array;  (* dst * sc_words *)
 }
 
 (* Graph analyses memoized behind the netlist's generation counter: any
@@ -117,8 +122,6 @@ let m_engine_word_evals = Obs.Metrics.counter "engine.word_evals"
 let m_engine_block_evals = Obs.Metrics.counter "engine.block_evals"
 let m_engine_block_words = Obs.Metrics.counter "engine.block_words"
 let m_engine_instr_exec = Obs.Metrics.counter "engine.instructions_executed"
-let m_plan_compiles = Obs.Metrics.counter "engine.plan_compiles"
-let m_plan_evals = Obs.Metrics.counter "engine.plan_block_evals"
 
 let touch t =
   Obs.Metrics.incr m_generation_bumps;
@@ -495,29 +498,103 @@ module Engine = struct
 
   let word_bits = Sys.int_size
 
-  let opcode_of_fn : Cell.gate_fn -> int = function
-    | Cell.Not -> 0
-    | Cell.Buf -> 1
-    | Cell.And -> 2
-    | Cell.Or -> 3
-    | Cell.Nand -> 4
-    | Cell.Nor -> 5
-    | Cell.Xor -> 6
-    | Cell.Xnor -> 7
-    | Cell.Mux -> 8
+  (* Fused opcodes, one per (function, arity) class, so the common gates
+     are one read-read-write pass per word instead of copy + combine +
+     invert:
 
-  let op_lut = 9
+       0 NOT   1 BUF   8 MUX   27 LUT (any arity)
+       2..7    AND2 OR2 NAND2 NOR2 XOR2 XNOR2
+       9..14   the same six at arity 3
+       15..20  the same six at arity 4
+       21..26  the same six at arity >= 5 (generic combine loop) *)
+  let spec_op fn arity =
+    let variadic k =
+      k + match arity with 2 -> 2 | 3 -> 9 | 4 -> 15 | _ -> 21
+    in
+    match (fn : Cell.gate_fn) with
+    | Not -> 0
+    | Buf -> 1
+    | Mux -> 8
+    | And -> variadic 0
+    | Or -> variadic 1
+    | Nand -> variadic 2
+    | Nor -> variadic 3
+    | Xor -> variadic 4
+    | Xnor -> variadic 5
+
+  let op_lut = 27
+  let n_ops = op_lut + 1
+
+  let op_of nd =
+    match nd.kind with
+    | Gate fn -> spec_op fn (Array.length nd.fanins)
+    | Lut _ -> op_lut
+    | Input | Const _ | Ff | Dead -> invalid_arg "Netlist.Engine.op_of"
+
+  (* Instruction order: a topological order of the combinational nodes
+     that drains one opcode at a time.  Among the ready instructions it
+     keeps taking the current opcode's bucket and switches to the
+     fullest bucket when that runs dry, so the interpreter's dispatch
+     branch stays predictable; LIFO buckets keep consumers close to
+     their producers. *)
+  let schedule t =
+    let topo = comb_topo_array t in
+    let m = Array.length topo in
+    let idx = Array.make (max 1 (num_nodes t)) (-1) in
+    Array.iteri (fun i id -> idx.(id) <- i) topo;
+    let indeg = Array.make (max 1 m) 0 in
+    let succ = Array.make (max 1 m) [] in
+    Array.iteri
+      (fun i id ->
+        Array.iter
+          (fun f ->
+            let p = idx.(f) in
+            if p >= 0 then begin
+              indeg.(i) <- indeg.(i) + 1;
+              succ.(p) <- i :: succ.(p)
+            end)
+          (node t id).fanins)
+      topo;
+    let ops = Array.map (fun id -> op_of (node t id)) topo in
+    let buckets = Array.make n_ops [] and blen = Array.make n_ops 0 in
+    let push i =
+      let b = ops.(i) in
+      buckets.(b) <- i :: buckets.(b);
+      blen.(b) <- blen.(b) + 1
+    in
+    for i = 0 to m - 1 do
+      if indeg.(i) = 0 then push i
+    done;
+    let order = Array.make m 0 and cur = ref 0 in
+    for q = 0 to m - 1 do
+      if blen.(!cur) = 0 then
+        for b = 0 to n_ops - 1 do
+          if blen.(b) > blen.(!cur) then cur := b
+        done;
+      match buckets.(!cur) with
+      | [] -> assert false
+      | i :: tl ->
+        buckets.(!cur) <- tl;
+        blen.(!cur) <- blen.(!cur) - 1;
+        order.(q) <- topo.(i);
+        List.iter
+          (fun u ->
+            indeg.(u) <- indeg.(u) - 1;
+            if indeg.(u) = 0 then push u)
+          succ.(i)
+    done;
+    order
 
   let compile t =
     Obs.Trace.with_span
       ~args:[ ("netlist", Cjson.Str t.net_name); ("gen", Cjson.Int t.gen) ]
       "engine.compile"
     @@ fun () ->
-    let order = comb_topo_array t in
+    let order = schedule t in
     let n_instr = Array.length order in
     let n = num_nodes t in
     (* slot assignment: sources, then constants, then instructions in
-       topological order — value writes are sequential in memory *)
+       [schedule] order — value writes are sequential in memory *)
     let slot_of_id = Array.make (max 1 n) (-1) in
     let srcs = ref [] and consts = ref [] in
     Vec.iter
@@ -560,12 +637,8 @@ module Engine = struct
         dst.(i) <- slot_of_id.(id);
         let nd = node t id in
         total := !total + Array.length nd.fanins;
-        match nd.kind with
-        | Gate fn -> ops.(i) <- opcode_of_fn fn
-        | Lut truth ->
-          ops.(i) <- op_lut;
-          tabs.(i) <- truth
-        | Input | Const _ | Ff | Dead -> assert false)
+        ops.(i) <- op_of nd;
+        match nd.kind with Lut truth -> tabs.(i) <- truth | _ -> ())
       order;
     offs.(n_instr) <- !total;
     Obs.Metrics.incr m_engine_compiles;
@@ -580,23 +653,30 @@ module Engine = struct
     Array.iteri
       (fun id s -> if s >= 0 then id_of_slot.(s) <- id)
       slot_of_id;
-    {
-      eng_gen = t.gen;
-      eng_nodes = n;
-      n_srcs;
-      n_slots;
-      ops;
-      dst;
-      offs;
-      fan;
-      tabs;
-      srcs;
-      one_slots = Array.of_list (List.rev !one_slots);
-      zero_slots = Array.of_list (List.rev !zero_slots);
-      slot_of_id;
-      id_of_slot;
-      eng_scratch = None;
-    }
+    let one_slots = Array.of_list (List.rev !one_slots) in
+    let zero_slots = Array.of_list (List.rev !zero_slots) in
+    let rec e =
+      {
+        eng_gen = t.gen;
+        eng_nodes = n;
+        n_srcs;
+        n_slots;
+        ops;
+        dst;
+        offs;
+        fan;
+        tabs;
+        srcs;
+        one_slots;
+        zero_slots;
+        slot_of_id;
+        id_of_slot;
+        eng_scratch = sc;
+      }
+    and sc =
+      { sc_owner = e; sc_block = [||]; sc_words = 1; sc_fan = fan; sc_dst = dst }
+    in
+    e
 
   let get t =
     let c = caches t in
@@ -614,802 +694,80 @@ module Engine = struct
   let slot_of_id e = e.slot_of_id
 
   let create_scratch e =
-    {
-      sc_owner = e;
-      sc_bools = Array.make (e.n_slots + 1) false;
-      sc_words = Array.make (e.n_slots + 1) 0;
-      sc_block = [||];
-      sc_block_words = 0;
-    }
-
-  let owned_scratch e =
-    match e.eng_scratch with
-    | Some s -> s
-    | None ->
-      let s = create_scratch e in
-      e.eng_scratch <- Some s;
-      s
+    { sc_owner = e; sc_block = [||]; sc_words = 1; sc_fan = e.fan; sc_dst = e.dst }
 
   let scratch_for e = function
-    | None -> owned_scratch e
+    | None -> e.eng_scratch
     | Some s ->
       if s.sc_owner != e then
         invalid_arg "Netlist.Engine: scratch belongs to a different engine";
       s
 
-  (* The three interpreter cores run over slot-dense buffers: writes are
-     sequential (instruction i writes slot n_srcs + n_consts + i) and
-     every fanin read is a lower slot, so big circuits stay cache-resident
-     instead of hopping around an id-indexed array. *)
-
-  let run_bools e (values : bool array) =
-    let { ops; dst; offs; fan; tabs; _ } = e in
-    for i = 0 to Array.length ops - 1 do
-      let lo = offs.(i) and hi = offs.(i + 1) in
-      let v =
-        match ops.(i) with
-        | 0 -> not values.(fan.(lo))
-        | 1 -> values.(fan.(lo))
-        | 2 | 4 ->
-          let r = ref true in
-          for j = lo to hi - 1 do
-            r := !r && values.(fan.(j))
-          done;
-          if ops.(i) = 2 then !r else not !r
-        | 3 | 5 ->
-          let r = ref false in
-          for j = lo to hi - 1 do
-            r := !r || values.(fan.(j))
-          done;
-          if ops.(i) = 3 then !r else not !r
-        | 6 | 7 ->
-          let r = ref false in
-          for j = lo to hi - 1 do
-            r := !r <> values.(fan.(j))
-          done;
-          if ops.(i) = 6 then !r else not !r
-        | 8 ->
-          if values.(fan.(lo)) then values.(fan.(lo + 2))
-          else values.(fan.(lo + 1))
-        | _ ->
-          let idx = ref 0 in
-          for j = lo to hi - 1 do
-            if values.(fan.(j)) then idx := !idx lor (1 lsl (j - lo))
-          done;
-          tabs.(i).(!idx)
-      in
-      values.(dst.(i)) <- v
-    done
-
-  let run_words e (values : int array) =
-    let { ops; dst; offs; fan; tabs; _ } = e in
-    for i = 0 to Array.length ops - 1 do
-      let lo = offs.(i) and hi = offs.(i + 1) in
-      let v =
-        match ops.(i) with
-        | 0 -> lnot values.(fan.(lo))
-        | 1 -> values.(fan.(lo))
-        | 2 | 4 ->
-          let r = ref (-1) in
-          for j = lo to hi - 1 do
-            r := !r land values.(fan.(j))
-          done;
-          if ops.(i) = 2 then !r else lnot !r
-        | 3 | 5 ->
-          let r = ref 0 in
-          for j = lo to hi - 1 do
-            r := !r lor values.(fan.(j))
-          done;
-          if ops.(i) = 3 then !r else lnot !r
-        | 6 | 7 ->
-          let r = ref 0 in
-          for j = lo to hi - 1 do
-            r := !r lxor values.(fan.(j))
-          done;
-          if ops.(i) = 6 then !r else lnot !r
-        | 8 ->
-          let s = values.(fan.(lo)) in
-          s land values.(fan.(lo + 2)) lor (lnot s land values.(fan.(lo + 1)))
-        | _ ->
-          (* Sum of products over the true rows of the truth table: for
-             every lane the conjunction selects exactly the row indexed by
-             that lane's fanin bits. *)
-          let tab = tabs.(i) in
-          let r = ref 0 in
-          for row = 0 to Array.length tab - 1 do
-            if tab.(row) then begin
-              let term = ref (-1) in
-              for j = lo to hi - 1 do
-                let w = values.(fan.(j)) in
-                term :=
-                  !term land (if row land (1 lsl (j - lo)) <> 0 then w else lnot w)
-              done;
-              r := !r lor !term
-            end
-          done;
-          !r
-      in
-      values.(dst.(i)) <- v
-    done
-
-  (* [nw] words per slot, word k of slot s at [blk.(s * nw + k)]: the
-     instruction stream is walked once for nw * word_bits stimulus lanes,
-     with contiguous per-slot word runs so the inner loops stream. *)
-  let run_block e (blk : int array) nw =
-    let { ops; dst; offs; fan; tabs; _ } = e in
-    for i = 0 to Array.length ops - 1 do
-      let lo = offs.(i) and hi = offs.(i + 1) in
-      let db = dst.(i) * nw in
-      match ops.(i) with
-      | 0 ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- lnot blk.(fb + k)
-        done
-      | 1 ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done
-      | (2 | 4) as op ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done;
-        for j = lo + 1 to hi - 1 do
-          let fb = fan.(j) * nw in
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- blk.(db + k) land blk.(fb + k)
-          done
-        done;
-        if op = 4 then
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- lnot blk.(db + k)
-          done
-      | (3 | 5) as op ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done;
-        for j = lo + 1 to hi - 1 do
-          let fb = fan.(j) * nw in
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- blk.(db + k) lor blk.(fb + k)
-          done
-        done;
-        if op = 5 then
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- lnot blk.(db + k)
-          done
-      | (6 | 7) as op ->
-        let fb = fan.(lo) * nw in
-        for k = 0 to nw - 1 do
-          blk.(db + k) <- blk.(fb + k)
-        done;
-        for j = lo + 1 to hi - 1 do
-          let fb = fan.(j) * nw in
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- blk.(db + k) lxor blk.(fb + k)
-          done
-        done;
-        if op = 7 then
-          for k = 0 to nw - 1 do
-            blk.(db + k) <- lnot blk.(db + k)
-          done
-      | 8 ->
-        let sb = fan.(lo) * nw
-        and bb = fan.(lo + 1) * nw
-        and cb = fan.(lo + 2) * nw in
-        for k = 0 to nw - 1 do
-          let s = blk.(sb + k) in
-          blk.(db + k) <- s land blk.(cb + k) lor (lnot s land blk.(bb + k))
-        done
-      | _ ->
-        let tab = tabs.(i) in
-        for k = 0 to nw - 1 do
-          let r = ref 0 in
-          for row = 0 to Array.length tab - 1 do
-            if tab.(row) then begin
-              let term = ref (-1) in
-              for j = lo to hi - 1 do
-                let w = blk.((fan.(j) * nw) + k) in
-                term :=
-                  !term land (if row land (1 lsl (j - lo)) <> 0 then w else lnot w)
-              done;
-              r := !r lor !term
-            end
-          done;
-          blk.(db + k) <- !r
-        done
-    done
-
-  let eval_into ?scratch e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_evals;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let s = scratch_for e scratch in
-    let values = s.sc_bools in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- true) e.one_slots;
-    run_bools e values;
-    values
-
-  let eval_words_into ?scratch e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_word_evals;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let s = scratch_for e scratch in
-    let values = s.sc_words in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- -1) e.one_slots;
-    run_words e values;
-    values
-
-  let eval_block ?scratch e ~n_words ~fill =
-    if n_words < 1 then
-      invalid_arg "Netlist.Engine.eval_block: n_words must be >= 1";
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_block_evals;
-      Obs.Metrics.add m_engine_block_words n_words;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let s = scratch_for e scratch in
-    if Array.length s.sc_block < (e.n_slots + 1) * n_words then begin
-      s.sc_block <- Array.make ((e.n_slots + 1) * n_words) 0;
-      s.sc_block_words <- n_words
-    end;
-    let blk = s.sc_block in
-    (* source region zeroed so partially-filled blocks read 0, and
-       constant/spare slots re-pinned: a previous call with a different
-       n_words laid slots out at a different stride *)
-    Array.fill blk 0 (e.n_srcs * n_words) 0;
-    Array.iter
-      (fun sl -> Array.fill blk (sl * n_words) n_words 0)
-      e.zero_slots;
-    fill blk;
-    Array.iter
-      (fun sl -> Array.fill blk (sl * n_words) n_words (-1))
-      e.one_slots;
-    run_block e blk n_words;
-    blk
-
-  (* ----- shard plans: fused kernels over output fanout cones -----
-
-     A plan recompiles the instruction stream once more, per shard: the
-     sinks (primary-output drivers and flip-flop D pins) are partitioned
-     into K fanout cones, each cone's live instructions get a dense
-     local slot space and a specialized opcode (NAND2 is one fused pass
-     instead of copy + combine + invert), and shards evaluate
-     independently — in parallel across the Parallel domain pool when
-     more than one domain is available, and still faster than
-     [run_block] on one domain because the fused kernels touch ~1/3 of
-     the memory per gate and unreachable instructions are skipped
-     entirely.  Cone duplication is the cost of independence: a sink
-     assignment whose shards would together re-evaluate more than
-     [dup_budget] times the live logic collapses to fewer shards (on
-     dense circuits like s38417 every cone overlaps almost fully, so the
-     auto plan degenerates to one shard and the win comes from the fused
-     kernels + dead-code skip alone). *)
-
-  type shard = {
-    sp_ops : int array;  (* specialized opcodes, see [spec_op] *)
-    sp_dst : int array;  (* local destination slot per instruction *)
-    sp_offs : int array;
-    sp_fan : int array;  (* local fanin slots *)
-    sp_tabs : bool array array;
-    sp_n_slots : int;
-    sp_copy_src : int array;  (* coalesced copy-in ranges: global start... *)
-    sp_copy_local : int array;  (* ...local start... *)
-    sp_copy_len : int array;  (* ...and length, in slots *)
-    sp_one_local : int array;
-    sp_zero_local : int array;
-    mutable sp_fanw : int array;  (* sp_fan pre-scaled by the word count *)
-    mutable sp_dstw : int array;  (* sp_dst pre-scaled by the word count *)
-    mutable sp_scaled_words : int;
-    mutable sp_blk : int array;
-    mutable sp_blk_words : int;
-  }
-
-  type plan = {
-    pl_eng : engine;
-    pl_shards : shard array;
-    pl_direct : bool;  (* single shard wanting every source in order:
-                          [fill] writes the shard block directly *)
-    pl_shard_of : int array;  (* global slot -> owning shard, -1 otherwise *)
-    pl_local_of : int array;  (* global slot -> local slot in owning shard *)
-    pl_is_one : bool array;  (* global slot -> is a constant-one slot *)
-    pl_dup : float;  (* sum of shard instructions / live instructions *)
-    pl_live : int;  (* live (sink-reachable) instructions *)
-    mutable pl_src : int array;  (* source block, same layout as eval_block *)
-    mutable pl_words : int;
-  }
-
-  (* Fused opcode for engine opcode [op] at [arity]: 2-, 3- and 4-input
-     variadic gates get single-pass kernels; wider ones fall back to the
-     generic copy/combine/invert shape. *)
-  let spec_op op arity =
-    match (op, arity) with
-    | 0, _ -> 0
-    | 1, _ -> 1
-    | 2, 2 -> 2
-    | 3, 2 -> 3
-    | 4, 2 -> 4
-    | 5, 2 -> 5
-    | 6, 2 -> 6
-    | 7, 2 -> 7
-    | 8, _ -> 8
-    | 2, 3 -> 9
-    | 3, 3 -> 10
-    | 4, 3 -> 11
-    | 5, 3 -> 12
-    | 6, 3 -> 13
-    | 7, 3 -> 14
-    | 2, 4 -> 23
-    | 3, 4 -> 24
-    | 4, 4 -> 25
-    | 5, 4 -> 26
-    | 6, 4 -> 27
-    | 7, 4 -> 28
-    | 2, _ -> 16
-    | 3, _ -> 17
-    | 4, _ -> 18
-    | 5, _ -> 19
-    | 6, _ -> 20
-    | 7, _ -> 21
-    | _ -> 22 (* LUT *)
-
-  let n_spec_ops = 29
-
-  let plan ?shards ?(dup_budget = 1.25) t =
-    let e = get t in
-    let n_instr = Array.length e.ops in
-    let first = e.n_slots - n_instr in
-    (* sink instructions: primary-output drivers + flip-flop D pins *)
-    let sink_of_id id =
-      if id < 0 then -1
-      else
-        let s = e.slot_of_id.(id) in
-        if s >= first && s < e.n_slots then s - first else -1
-    in
-    let is_sink = Array.make (max 1 n_instr) false in
-    Vec.iter
-      (fun po ->
-        let i = sink_of_id po.driver in
-        if i >= 0 then is_sink.(i) <- true)
-      t.pos;
-    Vec.iter
-      (fun nd ->
-        if nd.kind = Ff then begin
-          let i = sink_of_id nd.fanins.(0) in
-          if i >= 0 then is_sink.(i) <- true
-        end)
-      t.nodes;
-    let sinks = ref [] in
-    for i = n_instr - 1 downto 0 do
-      if is_sink.(i) then sinks := i :: !sinks
-    done;
-    let sinks = Array.of_list !sinks in
-    let n_sinks = Array.length sinks in
-    (* live = reachable from some sink *)
-    let live = Bytes.make (max 1 n_instr) '\000' in
-    let stack = ref [] in
-    Array.iter (fun i -> stack := i :: !stack) sinks;
-    let n_live = ref 0 in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | i :: tl ->
-        stack := tl;
-        if Bytes.get live i = '\000' then begin
-          Bytes.set live i '\001';
-          incr n_live;
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            let f = e.fan.(j) in
-            if f >= first && f < e.n_slots then stack := (f - first) :: !stack
-          done
-        end
-    done;
-    (* cone DFS into [buf], stamped so visited state resets per sink *)
-    let stamp = Array.make (max 1 n_instr) (-1) in
-    let buf = ref (Array.make 1024 0) in
-    let cone_of tag sink =
-      let len = ref 0 in
-      let push i =
-        if Array.length !buf = !len then begin
-          let b = Array.make (2 * !len) 0 in
-          Array.blit !buf 0 b 0 !len;
-          buf := b
-        end;
-        !buf.(!len) <- i;
-        incr len
-      in
-      let st = ref [ sink ] in
-      while !st <> [] do
-        match !st with
-        | [] -> ()
-        | i :: tl ->
-          st := tl;
-          if stamp.(i) <> tag then begin
-            stamp.(i) <- tag;
-            push i;
-            for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-              let f = e.fan.(j) in
-              if f >= first && f < e.n_slots then st := (f - first) :: !st
-            done
-          end
-      done;
-      !len
-    in
-    (* greedy cone-affinity partition into [k] shards; big cones first *)
-    let partition k =
-      let order = Array.mapi (fun idx s -> (idx, s)) sinks in
-      let sizes = Array.map (fun (idx, s) -> (cone_of idx s, s)) order in
-      Array.sort (fun (a, _) (b, _) -> compare b a) sizes;
-      let members = Array.init k (fun _ -> Bytes.make (max 1 n_instr) '\000') in
-      let counts = Array.make k 0 in
-      Array.iteri
-        (fun rank (_, sink) ->
-          let tag = n_sinks + rank in
-          let len = cone_of tag sink in
-          let cone = !buf in
-          let best = ref 0 and best_score = ref min_int in
-          for s = 0 to k - 1 do
-            let m = members.(s) in
-            let overlap = ref 0 in
-            for c = 0 to len - 1 do
-              if Bytes.get m cone.(c) = '\001' then incr overlap
-            done;
-            (* prefer the shard already holding most of this cone;
-               tie-break toward the emptiest shard *)
-            let score = (!overlap * 8) - (counts.(s) * 8 / max 1 !n_live) in
-            if score > !best_score
-               || (score = !best_score && counts.(s) < counts.(!best))
-            then begin
-              best := s;
-              best_score := score
-            end
-          done;
-          let m = members.(!best) in
-          for c = 0 to len - 1 do
-            if Bytes.get m cone.(c) = '\000' then begin
-              Bytes.set m cone.(c) '\001';
-              counts.(!best) <- counts.(!best) + 1
-            end
-          done)
-        sizes;
-      (members, counts)
-    in
-    let forced = shards <> None in
-    let k0 =
-      match shards with
-      | Some k when k < 1 -> invalid_arg "Netlist.Engine.plan: shards < 1"
-      | Some k -> min k (max 1 n_sinks)
-      | None -> min (Parallel.default_domains ()) (max 1 n_sinks)
-    in
-    let rec choose k =
-      if k <= 1 then ([| Bytes.copy live |], [| !n_live |])
-      else begin
-        let members, counts = partition k in
-        let total = Array.fold_left ( + ) 0 counts in
-        let dup = float_of_int total /. float_of_int (max 1 !n_live) in
-        if forced || dup <= dup_budget then (members, counts)
-        else choose (k / 2)
-      end
-    in
-    let members, counts = choose k0 in
-    let k = Array.length members in
-    let shard_of = Array.make (e.n_slots + 1) (-1) in
-    let local_of = Array.make (e.n_slots + 1) (-1) in
-    let compile_shard s =
-      let m = members.(s) in
-      let needed = Array.make (e.n_slots + 1) false in
-      let n_mine = counts.(s) in
-      let total_fan = ref 0 in
-      for i = 0 to n_instr - 1 do
-        if Bytes.get m i = '\001' then begin
-          needed.(first + i) <- true;
-          total_fan := !total_fan + (e.offs.(i + 1) - e.offs.(i));
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            needed.(e.fan.(j)) <- true
-          done
-        end
-      done;
-      (* Pinned local slots: sources and constants in ascending global
-         order (so copy-in ranges coalesce) plus the spare zero slot,
-         then sink destinations.  Interior destinations are allocated
-         from a free list as values die, so the shard's working set
-         stays close to the circuit's peak liveness instead of its
-         total gate count. *)
-      let loc = Array.make (e.n_slots + 1) (-1) in
-      let next = ref 0 in
-      let pin g =
-        if needed.(g) && loc.(g) < 0 then begin
-          loc.(g) <- !next;
-          incr next
-        end
-      in
-      for g = 0 to first - 1 do
-        pin g
-      done;
-      pin e.n_slots;
-      let copies = ref [] and ones = ref [] and zeros = ref [] in
-      (* coalesce consecutive needed sources into ranged blits *)
-      let g = ref 0 in
-      while !g < e.n_srcs do
-        if needed.(!g) then begin
-          let g0 = !g in
-          while !g < e.n_srcs && needed.(!g) do
-            incr g
-          done;
-          copies := (g0, loc.(g0), !g - g0) :: !copies
-        end
-        else incr g
-      done;
-      let copies = Array.of_list (List.rev !copies) in
-      Array.iter
-        (fun g -> if needed.(g) then ones := loc.(g) :: !ones)
-        e.one_slots;
-      Array.iter
-        (fun g -> if needed.(g) then zeros := loc.(g) :: !zeros)
-        e.zero_slots;
-      (* member table and intra-shard dependency edges *)
-      let mine = Array.make (max 1 n_mine) 0 in
-      let midx = Array.make (max 1 n_instr) (-1) in
-      let mi = ref 0 in
-      for i = 0 to n_instr - 1 do
-        if Bytes.get m i = '\001' then begin
-          mine.(!mi) <- i;
-          midx.(i) <- !mi;
-          if is_sink.(i) then pin (first + i);
-          incr mi
-        end
-      done;
-      let indeg = Array.make (max 1 n_mine) 0 in
-      let succ_cnt = Array.make (max 1 n_mine) 0 in
-      let n_edges = ref 0 in
-      for t = 0 to n_mine - 1 do
-        let i = mine.(t) in
-        for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-          let f = e.fan.(j) in
-          if f >= first && f < e.n_slots then begin
-            indeg.(t) <- indeg.(t) + 1;
-            let p = midx.(f - first) in
-            succ_cnt.(p) <- succ_cnt.(p) + 1;
-            incr n_edges
-          end
-        done
-      done;
-      let succ_off = Array.make (n_mine + 1) 0 in
-      for t = 0 to n_mine - 1 do
-        succ_off.(t + 1) <- succ_off.(t) + succ_cnt.(t)
-      done;
-      let succ = Array.make (max 1 !n_edges) 0 in
-      let fill_at = Array.copy succ_off in
-      for t = 0 to n_mine - 1 do
-        let i = mine.(t) in
-        for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-          let f = e.fan.(j) in
-          if f >= first && f < e.n_slots then begin
-            let p = midx.(f - first) in
-            succ.(fill_at.(p)) <- t;
-            fill_at.(p) <- fill_at.(p) + 1
-          end
-        done
-      done;
-      (* opcode-affinity list scheduling: among ready instructions,
-         keep draining the current opcode's bucket so the interpreter
-         dispatch branch stays predictable; when it runs dry, switch to
-         the fullest bucket.  LIFO buckets keep producers and consumers
-         close together, which also shrinks live ranges. *)
-      let sop = Array.make (max 1 n_mine) 0 in
-      for t = 0 to n_mine - 1 do
-        let i = mine.(t) in
-        sop.(t) <- spec_op e.ops.(i) (e.offs.(i + 1) - e.offs.(i))
-      done;
-      let buckets = Array.make n_spec_ops [] in
-      let blen = Array.make n_spec_ops 0 in
-      let push t =
-        let b = sop.(t) in
-        buckets.(b) <- t :: buckets.(b);
-        blen.(b) <- blen.(b) + 1
-      in
-      for t = 0 to n_mine - 1 do
-        if indeg.(t) = 0 then push t
-      done;
-      let sp_ops = Array.make (max 1 n_mine) 0 in
-      let sp_dst = Array.make (max 1 n_mine) 0 in
-      let sp_offs = Array.make (n_mine + 1) 0 in
-      let sp_tabs = Array.make (max 1 n_mine) [||] in
-      let sp_fan = Array.make (max 1 !total_fan) 0 in
-      let remaining = succ_cnt in
-      let free = ref [] and pending = ref [] in
-      let alloc () =
-        match !free with
-        | sl :: tl ->
-          free := tl;
-          sl
-        | [] ->
-          let sl = !next in
-          incr next;
-          sl
-      in
-      let scheduled = ref 0 and fo = ref 0 and cur = ref 0 in
-      while !scheduled < n_mine do
-        if blen.(!cur) = 0 then begin
-          let best = ref 0 in
-          for b = 1 to n_spec_ops - 1 do
-            if blen.(b) > blen.(!best) then best := b
-          done;
-          cur := !best
-        end;
-        (match buckets.(!cur) with
-        | [] -> assert false
-        | t :: tl ->
-          buckets.(!cur) <- tl;
-          blen.(!cur) <- blen.(!cur) - 1;
-          (* slots freed by the previous instruction become allocatable
-             only now, so multi-pass kernels never alias a fanin *)
-          free := List.rev_append !pending !free;
-          pending := [];
-          let q = !scheduled in
-          let i = mine.(t) in
-          sp_offs.(q) <- !fo;
-          sp_ops.(q) <- sop.(t);
-          sp_tabs.(q) <- e.tabs.(i);
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            sp_fan.(!fo) <- loc.(e.fan.(j));
-            incr fo
-          done;
-          if loc.(first + i) < 0 then loc.(first + i) <- alloc ();
-          sp_dst.(q) <- loc.(first + i);
-          (* the first shard computing a sink owns it for plan reads *)
-          if is_sink.(i) && shard_of.(first + i) < 0 then begin
-            shard_of.(first + i) <- s;
-            local_of.(first + i) <- loc.(first + i)
-          end;
-          for j = e.offs.(i) to e.offs.(i + 1) - 1 do
-            let f = e.fan.(j) in
-            if f >= first && f < e.n_slots then begin
-              let p = midx.(f - first) in
-              remaining.(p) <- remaining.(p) - 1;
-              if remaining.(p) = 0 && not is_sink.(mine.(p)) then
-                pending := loc.(f) :: !pending
-            end
-          done;
-          incr scheduled;
-          for x = succ_off.(t) to succ_off.(t + 1) - 1 do
-            let u = succ.(x) in
-            indeg.(u) <- indeg.(u) - 1;
-            if indeg.(u) = 0 then push u
-          done)
-      done;
-      sp_offs.(n_mine) <- !fo;
-      {
-        sp_ops;
-        sp_dst;
-        sp_offs;
-        sp_fan;
-        sp_tabs;
-        sp_n_slots = !next;
-        sp_copy_src = Array.map (fun (a, _, _) -> a) copies;
-        sp_copy_local = Array.map (fun (_, b, _) -> b) copies;
-        sp_copy_len = Array.map (fun (_, _, c) -> c) copies;
-        sp_one_local = Array.of_list !ones;
-        sp_zero_local = Array.of_list !zeros;
-        sp_fanw = [||];
-        sp_dstw = [||];
-        sp_scaled_words = 0;
-        sp_blk = [||];
-        sp_blk_words = 0;
-      }
-    in
-    let shards_a = Array.init k compile_shard in
-    let is_one = Array.make (e.n_slots + 1) false in
-    Array.iter (fun g -> is_one.(g) <- true) e.one_slots;
-    let total = Array.fold_left ( + ) 0 counts in
-    let direct =
-      k = 1
-      && e.n_srcs > 0
-      && Array.length shards_a.(0).sp_copy_len = 1
-      && shards_a.(0).sp_copy_src.(0) = 0
-      && shards_a.(0).sp_copy_local.(0) = 0
-      && shards_a.(0).sp_copy_len.(0) = e.n_srcs
-    in
-    Obs.Metrics.incr m_plan_compiles;
-    {
-      pl_eng = e;
-      pl_shards = shards_a;
-      pl_direct = direct;
-      pl_shard_of = shard_of;
-      pl_local_of = local_of;
-      pl_is_one = is_one;
-      pl_dup = float_of_int total /. float_of_int (max 1 !n_live);
-      pl_live = !n_live;
-      pl_src = [||];
-      pl_words = 0;
-    }
-
-  let plan_shard_count p = Array.length p.pl_shards
-  let plan_duplication p = p.pl_dup
-  let plan_live_instructions p = p.pl_live
-  let plan_generation p = p.pl_eng.eng_gen
-
-  (* Fused single-pass kernels.  Bounds are established once per shard
-     per call (buffer sized to sp_n_slots * nw and every slot index is
-     < sp_n_slots by construction), so the inner loops use unchecked
-     accesses — this is the difference between 3 and 7 memory touches
-     per NAND2 per word. *)
-  let run_shard sp (blk : int array) nw =
-    let ops = sp.sp_ops
-    and dstw = sp.sp_dstw
-    and offs = sp.sp_offs
-    and fanw = sp.sp_fanw
-    and tabs = sp.sp_tabs in
+  (* The one interpreter: [nw] words per slot, word k of slot s at
+     [blk.(s * nw + k)]; [fan] and [dst] are the engine's slots
+     pre-scaled by [nw].  Every fanin read is a lower slot, so the stream
+     is walked once.  [blk] holds at least (n_slots + 1) * nw words and
+     every operand slot is <= n_slots by construction, so the inner
+     loops use unchecked accesses — this is the difference between 3
+     and 7 memory touches per NAND2 per word. *)
+  let run e ~fan ~dst (blk : int array) nw =
+    let { ops; offs; tabs; _ } = e in
+    let opnd j = Array.unsafe_get fan j in
     for i = 0 to Array.length ops - 1 do
       let lo = Array.unsafe_get offs i in
-      let db = Array.unsafe_get dstw i in
+      let db = Array.unsafe_get dst i in
       match Array.unsafe_get ops i with
       | 0 ->
-        let a = Array.unsafe_get fanw lo in
+        let a = opnd lo in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k) (lnot (Array.unsafe_get blk (a + k)))
         done
       | 1 ->
-        let a = Array.unsafe_get fanw lo in
+        let a = opnd lo in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k) (Array.unsafe_get blk (a + k))
         done
       | 2 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1) in
+        let a = opnd lo and b = opnd (lo + 1) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (Array.unsafe_get blk (a + k) land Array.unsafe_get blk (b + k))
         done
       | 3 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1) in
+        let a = opnd lo and b = opnd (lo + 1) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (Array.unsafe_get blk (a + k) lor Array.unsafe_get blk (b + k))
         done
       | 4 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1) in
+        let a = opnd lo and b = opnd (lo + 1) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (lnot
                (Array.unsafe_get blk (a + k) land Array.unsafe_get blk (b + k)))
         done
       | 5 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1) in
+        let a = opnd lo and b = opnd (lo + 1) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (lnot
                (Array.unsafe_get blk (a + k) lor Array.unsafe_get blk (b + k)))
         done
       | 6 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1) in
+        let a = opnd lo and b = opnd (lo + 1) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (Array.unsafe_get blk (a + k) lxor Array.unsafe_get blk (b + k))
         done
       | 7 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1) in
+        let a = opnd lo and b = opnd (lo + 1) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (lnot
                (Array.unsafe_get blk (a + k) lxor Array.unsafe_get blk (b + k)))
         done
       | 8 ->
-        let s = Array.unsafe_get fanw lo
-        and a = Array.unsafe_get fanw (lo + 1)
-        and b = Array.unsafe_get fanw (lo + 2) in
+        let s = opnd lo and a = opnd (lo + 1) and b = opnd (lo + 2) in
         for k = 0 to nw - 1 do
           let sv = Array.unsafe_get blk (s + k) in
           Array.unsafe_set blk (db + k)
@@ -1417,9 +775,7 @@ module Engine = struct
             lor (lnot sv land Array.unsafe_get blk (a + k)))
         done
       | 9 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2) in
+        let a = opnd lo and b = opnd (lo + 1) and c = opnd (lo + 2) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (Array.unsafe_get blk (a + k)
@@ -1427,9 +783,7 @@ module Engine = struct
             land Array.unsafe_get blk (c + k))
         done
       | 10 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2) in
+        let a = opnd lo and b = opnd (lo + 1) and c = opnd (lo + 2) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (Array.unsafe_get blk (a + k)
@@ -1437,9 +791,7 @@ module Engine = struct
             lor Array.unsafe_get blk (c + k))
         done
       | 11 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2) in
+        let a = opnd lo and b = opnd (lo + 1) and c = opnd (lo + 2) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (lnot
@@ -1448,9 +800,7 @@ module Engine = struct
                land Array.unsafe_get blk (c + k)))
         done
       | 12 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2) in
+        let a = opnd lo and b = opnd (lo + 1) and c = opnd (lo + 2) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (lnot
@@ -1459,9 +809,7 @@ module Engine = struct
                lor Array.unsafe_get blk (c + k)))
         done
       | 13 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2) in
+        let a = opnd lo and b = opnd (lo + 1) and c = opnd (lo + 2) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (Array.unsafe_get blk (a + k)
@@ -1469,9 +817,7 @@ module Engine = struct
             lxor Array.unsafe_get blk (c + k))
         done
       | 14 ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2) in
+        let a = opnd lo and b = opnd (lo + 1) and c = opnd (lo + 2) in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k)
             (lnot
@@ -1479,124 +825,121 @@ module Engine = struct
                lxor Array.unsafe_get blk (b + k)
                lxor Array.unsafe_get blk (c + k)))
         done
-      | (23 | 25) as op ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2)
-        and d = Array.unsafe_get fanw (lo + 3) in
-        if op = 23 then
-          for k = 0 to nw - 1 do
-            Array.unsafe_set blk (db + k)
-              (Array.unsafe_get blk (a + k)
-              land Array.unsafe_get blk (b + k)
-              land Array.unsafe_get blk (c + k)
-              land Array.unsafe_get blk (d + k))
-          done
-        else
-          for k = 0 to nw - 1 do
-            Array.unsafe_set blk (db + k)
-              (lnot
-                 (Array.unsafe_get blk (a + k)
-                 land Array.unsafe_get blk (b + k)
-                 land Array.unsafe_get blk (c + k)
-                 land Array.unsafe_get blk (d + k)))
-          done
-      | (24 | 26) as op ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2)
-        and d = Array.unsafe_get fanw (lo + 3) in
-        if op = 24 then
-          for k = 0 to nw - 1 do
-            Array.unsafe_set blk (db + k)
-              (Array.unsafe_get blk (a + k)
-              lor Array.unsafe_get blk (b + k)
-              lor Array.unsafe_get blk (c + k)
-              lor Array.unsafe_get blk (d + k))
-          done
-        else
-          for k = 0 to nw - 1 do
-            Array.unsafe_set blk (db + k)
-              (lnot
-                 (Array.unsafe_get blk (a + k)
-                 lor Array.unsafe_get blk (b + k)
-                 lor Array.unsafe_get blk (c + k)
-                 lor Array.unsafe_get blk (d + k)))
-          done
-      | (27 | 28) as op ->
-        let a = Array.unsafe_get fanw lo
-        and b = Array.unsafe_get fanw (lo + 1)
-        and c = Array.unsafe_get fanw (lo + 2)
-        and d = Array.unsafe_get fanw (lo + 3) in
-        if op = 27 then
-          for k = 0 to nw - 1 do
-            Array.unsafe_set blk (db + k)
-              (Array.unsafe_get blk (a + k)
-              lxor Array.unsafe_get blk (b + k)
-              lxor Array.unsafe_get blk (c + k)
-              lxor Array.unsafe_get blk (d + k))
-          done
-        else
-          for k = 0 to nw - 1 do
-            Array.unsafe_set blk (db + k)
-              (lnot
-                 (Array.unsafe_get blk (a + k)
-                 lxor Array.unsafe_get blk (b + k)
-                 lxor Array.unsafe_get blk (c + k)
-                 lxor Array.unsafe_get blk (d + k)))
-          done
-      | (16 | 18) as op ->
-        let hi = Array.unsafe_get offs (i + 1) in
-        let a = Array.unsafe_get fanw lo in
+      | 15 ->
+        let a = opnd lo and b = opnd (lo + 1) in
+        let c = opnd (lo + 2) and d = opnd (lo + 3) in
+        for k = 0 to nw - 1 do
+          Array.unsafe_set blk (db + k)
+            (Array.unsafe_get blk (a + k)
+            land Array.unsafe_get blk (b + k)
+            land Array.unsafe_get blk (c + k)
+            land Array.unsafe_get blk (d + k))
+        done
+      | 16 ->
+        let a = opnd lo and b = opnd (lo + 1) in
+        let c = opnd (lo + 2) and d = opnd (lo + 3) in
+        for k = 0 to nw - 1 do
+          Array.unsafe_set blk (db + k)
+            (Array.unsafe_get blk (a + k)
+            lor Array.unsafe_get blk (b + k)
+            lor Array.unsafe_get blk (c + k)
+            lor Array.unsafe_get blk (d + k))
+        done
+      | 17 ->
+        let a = opnd lo and b = opnd (lo + 1) in
+        let c = opnd (lo + 2) and d = opnd (lo + 3) in
+        for k = 0 to nw - 1 do
+          Array.unsafe_set blk (db + k)
+            (lnot
+               (Array.unsafe_get blk (a + k)
+               land Array.unsafe_get blk (b + k)
+               land Array.unsafe_get blk (c + k)
+               land Array.unsafe_get blk (d + k)))
+        done
+      | 18 ->
+        let a = opnd lo and b = opnd (lo + 1) in
+        let c = opnd (lo + 2) and d = opnd (lo + 3) in
+        for k = 0 to nw - 1 do
+          Array.unsafe_set blk (db + k)
+            (lnot
+               (Array.unsafe_get blk (a + k)
+               lor Array.unsafe_get blk (b + k)
+               lor Array.unsafe_get blk (c + k)
+               lor Array.unsafe_get blk (d + k)))
+        done
+      | 19 ->
+        let a = opnd lo and b = opnd (lo + 1) in
+        let c = opnd (lo + 2) and d = opnd (lo + 3) in
+        for k = 0 to nw - 1 do
+          Array.unsafe_set blk (db + k)
+            (Array.unsafe_get blk (a + k)
+            lxor Array.unsafe_get blk (b + k)
+            lxor Array.unsafe_get blk (c + k)
+            lxor Array.unsafe_get blk (d + k))
+        done
+      | 20 ->
+        let a = opnd lo and b = opnd (lo + 1) in
+        let c = opnd (lo + 2) and d = opnd (lo + 3) in
+        for k = 0 to nw - 1 do
+          Array.unsafe_set blk (db + k)
+            (lnot
+               (Array.unsafe_get blk (a + k)
+               lxor Array.unsafe_get blk (b + k)
+               lxor Array.unsafe_get blk (c + k)
+               lxor Array.unsafe_get blk (d + k)))
+        done
+      | (21 | 23) as op ->
+        let a = opnd lo in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k) (Array.unsafe_get blk (a + k))
         done;
-        for j = lo + 1 to hi - 1 do
-          let f = Array.unsafe_get fanw j in
+        for j = lo + 1 to Array.unsafe_get offs (i + 1) - 1 do
+          let f = opnd j in
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k)
               (Array.unsafe_get blk (db + k) land Array.unsafe_get blk (f + k))
           done
         done;
-        if op = 18 then
+        if op = 23 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k) (lnot (Array.unsafe_get blk (db + k)))
           done
-      | (17 | 19) as op ->
-        let hi = Array.unsafe_get offs (i + 1) in
-        let a = Array.unsafe_get fanw lo in
+      | (22 | 24) as op ->
+        let a = opnd lo in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k) (Array.unsafe_get blk (a + k))
         done;
-        for j = lo + 1 to hi - 1 do
-          let f = Array.unsafe_get fanw j in
+        for j = lo + 1 to Array.unsafe_get offs (i + 1) - 1 do
+          let f = opnd j in
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k)
               (Array.unsafe_get blk (db + k) lor Array.unsafe_get blk (f + k))
           done
         done;
-        if op = 19 then
+        if op = 24 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k) (lnot (Array.unsafe_get blk (db + k)))
           done
-      | (20 | 21) as op ->
-        let hi = Array.unsafe_get offs (i + 1) in
-        let a = Array.unsafe_get fanw lo in
+      | (25 | 26) as op ->
+        let a = opnd lo in
         for k = 0 to nw - 1 do
           Array.unsafe_set blk (db + k) (Array.unsafe_get blk (a + k))
         done;
-        for j = lo + 1 to hi - 1 do
-          let f = Array.unsafe_get fanw j in
+        for j = lo + 1 to Array.unsafe_get offs (i + 1) - 1 do
+          let f = opnd j in
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k)
               (Array.unsafe_get blk (db + k) lxor Array.unsafe_get blk (f + k))
           done
         done;
-        if op = 21 then
+        if op = 26 then
           for k = 0 to nw - 1 do
             Array.unsafe_set blk (db + k) (lnot (Array.unsafe_get blk (db + k)))
           done
       | _ ->
+        (* Sum of products over the true rows of the truth table: for
+           every lane the conjunction selects exactly the row indexed by
+           that lane's fanin bits. *)
         let hi = Array.unsafe_get offs (i + 1) in
         let tab = tabs.(i) in
         for k = 0 to nw - 1 do
@@ -1605,7 +948,7 @@ module Engine = struct
             if tab.(row) then begin
               let term = ref (-1) in
               for j = lo to hi - 1 do
-                let w = blk.((Array.unsafe_get fanw j) + k) in
+                let w = Array.unsafe_get blk (opnd j + k) in
                 term :=
                   !term
                   land (if row land (1 lsl (j - lo)) <> 0 then w else lnot w)
@@ -1617,117 +960,67 @@ module Engine = struct
         done
     done
 
-  let shard_scale sp n_words =
-    if sp.sp_scaled_words <> n_words then begin
-      sp.sp_fanw <- Array.map (fun f -> f * n_words) sp.sp_fan;
-      sp.sp_dstw <- Array.map (fun d -> d * n_words) sp.sp_dst;
-      sp.sp_scaled_words <- n_words
-    end;
-    if Array.length sp.sp_blk < sp.sp_n_slots * n_words then
-      sp.sp_blk <- Array.make (max 1 (sp.sp_n_slots * n_words)) 0;
-    sp.sp_blk_words <- n_words;
-    let blk = sp.sp_blk in
-    Array.iter
-      (fun l -> Array.fill blk (l * n_words) n_words 0)
-      sp.sp_zero_local;
-    Array.iter
-      (fun l -> Array.fill blk (l * n_words) n_words (-1))
-      sp.sp_one_local;
-    blk
-
-  let eval_block_sharded p ~n_words ~fill =
-    if n_words < 1 then
-      invalid_arg "Netlist.Engine.eval_block_sharded: n_words must be >= 1";
-    let e = p.pl_eng in
+  (* Every entry point funnels through here: size the buffer and the
+     pre-scaled slots for [n_words], zero the source region and re-pin
+     the constant and spare slots (a previous call may have laid the
+     buffer out at a different stride), let [fill] write the stimulus,
+     then run the kernel. *)
+  let eval_in e s n_words fill =
     if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_plan_evals;
-      Obs.Metrics.add m_engine_block_words n_words
-    end;
-    p.pl_words <- n_words;
-    if p.pl_direct then begin
-      (* sole shard wants every source at its global offset: [fill]
-         writes the shard block directly, no staging copy *)
-      let sp = p.pl_shards.(0) in
-      let blk = shard_scale sp n_words in
-      Array.fill blk 0 (e.n_srcs * n_words) 0;
-      fill blk;
-      run_shard sp blk n_words
-    end
-    else begin
-      if Array.length p.pl_src < e.n_srcs * n_words then
-        p.pl_src <- Array.make (max 1 (e.n_srcs * n_words)) 0
-      else Array.fill p.pl_src 0 (e.n_srcs * n_words) 0;
-      fill p.pl_src;
-      let run_one sp =
-        let blk = shard_scale sp n_words in
-        let src = p.pl_src in
-        for c = 0 to Array.length sp.sp_copy_len - 1 do
-          Array.blit src
-            (sp.sp_copy_src.(c) * n_words)
-            blk
-            (sp.sp_copy_local.(c) * n_words)
-            (sp.sp_copy_len.(c) * n_words)
-        done;
-        run_shard sp blk n_words
-      in
-      if Array.length p.pl_shards > 1 && Parallel.default_domains () > 1 then
-        ignore (Parallel.map run_one (Array.to_list p.pl_shards))
-      else Array.iter run_one p.pl_shards
-    end
-
-  let plan_read p ~slot ~word =
-    let e = p.pl_eng in
-    if word < 0 || word >= p.pl_words then
-      invalid_arg "Netlist.Engine.plan_read: word out of range";
-    if slot < 0 || slot > e.n_slots then
-      invalid_arg "Netlist.Engine.plan_read: bad slot";
-    if slot < e.n_srcs then
-      if p.pl_direct then p.pl_shards.(0).sp_blk.((slot * p.pl_words) + word)
-      else p.pl_src.((slot * p.pl_words) + word)
-    else
-      match p.pl_shard_of.(slot) with
-      | -1 ->
-        if p.pl_is_one.(slot) then -1
-        else if slot < e.n_slots - Array.length e.ops || slot = e.n_slots then 0
-          (* constant-zero or the spare zero slot *)
-        else
-          invalid_arg
-            "Netlist.Engine.plan_read: slot is not a sink (interior slots \
-             are recycled)"
-      | s ->
-        p.pl_shards.(s).sp_blk.((p.pl_local_of.(slot) * p.pl_words) + word)
-
-  (* Id-indexed compatibility paths: evaluate slot-dense into a fresh
-     buffer (safe to call concurrently on a shared engine), then scatter
-     to the node-id layout.  Dead nodes read false / 0. *)
-
-  let eval e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_evals;
+      Obs.Metrics.incr m_engine_block_evals;
+      Obs.Metrics.add m_engine_block_words n_words;
       Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
     end;
-    let values = Array.make (e.n_slots + 1) false in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- true) e.one_slots;
-    run_bools e values;
-    let out = Array.make e.eng_nodes false in
+    if Array.length s.sc_block < (e.n_slots + 1) * n_words then
+      s.sc_block <- Array.make ((e.n_slots + 1) * n_words) 0;
+    if s.sc_words <> n_words then begin
+      let scaled a = if n_words = 1 then a else Array.map (( * ) n_words) a in
+      s.sc_fan <- scaled e.fan;
+      s.sc_dst <- scaled e.dst;
+      s.sc_words <- n_words
+    end;
+    let blk = s.sc_block in
+    Array.fill blk 0 (e.n_srcs * n_words) 0;
+    Array.iter (fun sl -> Array.fill blk (sl * n_words) n_words 0) e.zero_slots;
+    fill blk;
+    Array.iter (fun sl -> Array.fill blk (sl * n_words) n_words (-1)) e.one_slots;
+    run e ~fan:s.sc_fan ~dst:s.sc_dst blk n_words;
+    blk
+
+  let fill_sources e assignment blk =
+    Array.iteri (fun i id -> Array.unsafe_set blk i (assignment id)) e.srcs
+
+  let eval_block ?scratch e ~n_words ~fill =
+    if n_words < 1 then
+      invalid_arg "Netlist.Engine.eval_block: n_words must be >= 1";
+    eval_in e (scratch_for e scratch) n_words fill
+
+  let eval_words_into ?scratch e assignment =
+    Obs.Probe.incr m_engine_word_evals;
+    eval_in e (scratch_for e scratch) 1 (fill_sources e assignment)
+
+  (* Id-indexed compatibility paths: evaluate into a fresh scratch (safe
+     to call concurrently on a shared engine), then scatter to the
+     node-id layout.  Dead nodes read false / 0. *)
+
+  let eval_words e assignment =
+    Obs.Probe.incr m_engine_word_evals;
+    let values = eval_in e (create_scratch e) 1 (fill_sources e assignment) in
+    let out = Array.make e.eng_nodes 0 in
     for sl = 0 to e.n_slots - 1 do
       out.(e.id_of_slot.(sl)) <- values.(sl)
     done;
     out
 
-  let eval_words e assignment =
-    if Obs.Probe.active () then begin
-      Obs.Metrics.incr m_engine_word_evals;
-      Obs.Metrics.add m_engine_instr_exec (Array.length e.ops)
-    end;
-    let values = Array.make (e.n_slots + 1) 0 in
-    Array.iteri (fun i id -> values.(i) <- assignment id) e.srcs;
-    Array.iter (fun sl -> values.(sl) <- -1) e.one_slots;
-    run_words e values;
-    let out = Array.make e.eng_nodes 0 in
+  let eval e assignment =
+    Obs.Probe.incr m_engine_evals;
+    let values =
+      eval_in e (create_scratch e) 1
+        (fill_sources e (fun id -> Bool.to_int (assignment id)))
+    in
+    let out = Array.make e.eng_nodes false in
     for sl = 0 to e.n_slots - 1 do
-      out.(e.id_of_slot.(sl)) <- values.(sl)
+      out.(e.id_of_slot.(sl)) <- values.(sl) land 1 = 1
     done;
     out
 

@@ -177,16 +177,20 @@ val eval_comb : t -> (int -> bool) -> bool array
 
 (** {1 Bit-parallel evaluation engine}
 
-    The engine compiles a netlist once into a flat instruction stream
-    (cached topological order, pre-resolved fanin offsets, LUT tables) and
-    evaluates it either for a single Boolean pattern ({!Engine.eval}, the
-    scalar fast path behind {!eval_comb}) or for {!Engine.word_bits}
-    stimulus patterns at once ({!Engine.eval_words}), one pattern per bit
-    of a native [int].  Compilation is memoized behind the netlist's
-    {!generation} counter: {!Engine.get} recompiles only after a
-    mutation.
+    The engine compiles a netlist once into a flat instruction stream —
+    a topological order that runs same-opcode instructions back to back,
+    pre-resolved fanin slots, LUT tables, and one fused opcode per
+    (function, arity) class, so a NAND2 is a single read-read-write pass
+    instead of copy + combine + invert.  That is
+    its only compiled form, and one interpreter runs it: {!Engine.eval}
+    (one Boolean pattern, the scalar path behind {!eval_comb}),
+    {!Engine.eval_words} ({!Engine.word_bits} patterns, one per bit of a
+    native [int]) and {!Engine.eval_block} ([n_words] words per slot)
+    are all calls of that interpreter, the first two at one word.
+    Compilation is memoized behind the netlist's {!generation} counter:
+    {!Engine.get} recompiles only after a mutation.
 
-    {2 Slot-dense layout (engine v2)}
+    {2 Slot-dense layout}
 
     Values live in dense {e slots} ordered like the instruction stream,
     not in node-id order: sources take slots [0 .. n_srcs - 1] in
@@ -195,18 +199,27 @@ val eval_comb : t -> (int -> bool) -> bool array
     after those — the hot loop writes memory sequentially and every
     fanin read is a lower slot.  {!Engine.eval} / {!Engine.eval_words}
     scatter the slots back to a node-id-indexed array for compatibility;
-    the [_into] variants and {!Engine.eval_block} expose the slot-dense
-    buffers directly (translate with {!Engine.slot_of_id}) and reuse
-    {!Engine.scratch} buffers so steady-state evaluation allocates
-    nothing. *)
+    {!Engine.eval_words_into} and {!Engine.eval_block} expose the
+    slot-dense buffer directly (translate with {!Engine.slot_of_id}) and
+    reuse {!Engine.scratch} buffers so steady-state evaluation allocates
+    nothing.
+
+    {2 Concurrency}
+
+    An engine is read-only once compiled; every evaluation writes only
+    into a scratch.  Evaluating one engine from several domains takes
+    one scratch per domain ({!Engine.create_scratch}); the engine's
+    default scratch, used when [?scratch] is omitted, is for one domain
+    only.  Parallelism is the caller's business — the batched oracle
+    shards lane ranges across domains this way. *)
 module Engine : sig
   type engine
 
-  (** Reusable slot-indexed evaluation buffers tied to one engine.  The
-      engine lazily owns one (used when [?scratch] is omitted); create
-      independent scratches with {!create_scratch} to evaluate the same
-      engine from several domains at once.  Opaque: only the engine
-      writes into it. *)
+  (** Reusable slot-indexed evaluation buffer tied to one engine.  The
+      engine owns a default one (used when [?scratch] is omitted);
+      create independent scratches with {!create_scratch} to evaluate
+      the same engine from several domains at once.  Opaque: only the
+      engine writes into it. *)
   type scratch
 
   (** Lanes per word = [Sys.int_size] (63 on 64-bit platforms). *)
@@ -233,8 +246,8 @@ module Engine : sig
   val slot_of_id : engine -> int array
 
   (** A fresh scratch for [e] — required when several domains evaluate
-      the same engine concurrently (the engine-owned default scratch is
-      not domain-safe).
+      the same engine concurrently (the default scratch is not
+      domain-safe).
       @raise Invalid_argument when passed to a different engine. *)
   val create_scratch : engine -> scratch
 
@@ -246,17 +259,14 @@ module Engine : sig
   (** [eval_words e assignment] evaluates {!word_bits} patterns at once:
       [assignment id] packs one stimulus bit per lane for each source node,
       and the result word per node id packs the node's value per lane.
-      Constants broadcast to every lane; dead nodes are 0. *)
+      Constants broadcast to every lane; dead nodes are 0.  Freshly
+      allocated, like {!eval}. *)
   val eval_words : engine -> (int -> int) -> int array
 
-  (** [eval_into ?scratch e assignment] is {!eval} but into reused
-      buffers: the result is {e slot}-indexed (see {!slot_of_id}) and is
-      the scratch's own buffer — valid until the next evaluation on that
-      scratch. *)
-  val eval_into : ?scratch:scratch -> engine -> (int -> bool) -> bool array
-
-  (** Slot-indexed, allocation-free {!eval_words}; same aliasing rule as
-      {!eval_into}. *)
+  (** [eval_words_into ?scratch e assignment] is {!eval_words} into the
+      scratch's buffer: the result is {e slot}-indexed (see
+      {!slot_of_id}) and is the scratch's own buffer — valid until the
+      next evaluation on that scratch. *)
   val eval_words_into : ?scratch:scratch -> engine -> (int -> int) -> int array
 
   (** [eval_block ?scratch e ~n_words ~fill] evaluates
@@ -266,64 +276,11 @@ module Engine : sig
       [fill buf] must write the stimulus words for each source [i] of
       {!sources} at [i * n_words + k]; the source region is pre-zeroed,
       so unfilled words evaluate with all-false inputs.  Returns the
-      scratch's block buffer (aliasing rule as {!eval_into}). *)
+      scratch's buffer (aliasing rule as {!eval_words_into}).
+      @raise Invalid_argument if [n_words < 1]. *)
   val eval_block :
     ?scratch:scratch -> engine -> n_words:int -> fill:(int array -> unit) ->
     int array
-
-  (** {2 Domain-sharded block evaluation}
-
-      A {!plan} recompiles the instruction stream into K {e shards} —
-      one per partition of the sinks (primary-output drivers and
-      flip-flop D pins) into fanout cones — with fused single-pass
-      kernels (a NAND2 is one combined read-read-write loop instead of
-      copy + combine + invert) over dense per-shard slot spaces.
-      Shards evaluate independently: across the {!Parallel} domain pool
-      when more than one domain is available, and faster than
-      {!eval_block} even on one domain because of the fused kernels and
-      because instructions unreachable from any sink are skipped. *)
-  type plan
-
-  (** [plan ?shards ?dup_budget t] compiles a shard plan for [t]'s
-      engine.  [shards] forces the shard count (clamped to the number of
-      sinks); by default it starts at {!Parallel.default_domains} and is
-      halved while the cone-duplication factor (total shard instructions
-      / live instructions) exceeds [dup_budget] (default [1.25]) —
-      overlapping cones re-evaluate shared logic in every shard, so a
-      dense circuit degenerates to one shard rather than pay for
-      duplicated work.  @raise Invalid_argument if [shards < 1]. *)
-  val plan : ?shards:int -> ?dup_budget:float -> t -> plan
-
-  val plan_shard_count : plan -> int
-
-  (** Total shard instructions / live instructions, >= 1. *)
-  val plan_duplication : plan -> float
-
-  (** Instructions reachable from at least one sink. *)
-  val plan_live_instructions : plan -> int
-
-  (** The netlist generation the underlying engine was compiled at. *)
-  val plan_generation : plan -> int
-
-  (** [eval_block_sharded p ~n_words ~fill] evaluates
-      [n_words * word_bits] lanes across the plan's shards.  [fill]
-      writes the stimulus exactly as for {!eval_block} (source [i]'s
-      word [k] at [i * n_words + k]; the region is pre-zeroed).  Read
-      results back with {!plan_read}.  Buffers are owned by the plan
-      and reused across calls — a plan must not be evaluated from two
-      domains at once (shard-internal parallelism is the plan's own
-      job). *)
-  val eval_block_sharded :
-    plan -> n_words:int -> fill:(int array -> unit) -> unit
-
-  (** [plan_read p ~slot ~word] is word [word] of slot [slot] (the
-      engine slot space, see {!slot_of_id}) after the last
-      {!eval_block_sharded}.  Sources, constants and sink slots
-      (primary-output drivers and flip-flop D pins) are readable.
-      @raise Invalid_argument for an interior combinational slot —
-      shards recycle interior slots as values die, so only sinks
-      survive a run. *)
-  val plan_read : plan -> slot:int -> word:int -> int
 
   (** Number of set bits in a word (lanes at 1).  Branch-free SWAR. *)
   val popcount : int -> int

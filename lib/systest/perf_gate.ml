@@ -45,11 +45,11 @@ let metrics_of ~file j =
         keyed "eval" row "name"
           [
             "scalar_patterns_per_sec"; "word_patterns_per_sec";
-            "block_patterns_per_sec"; "sharded_patterns_per_sec";
+            "block_patterns_per_sec";
           ]
           [
             "word_speedup_vs_legacy"; "block_speedup_vs_word";
-            "sharded_speedup_vs_block"; "strash_reduction";
+            "strash_reduction";
           ])
       (rows_of j "benchmarks")
   | `Attacks ->

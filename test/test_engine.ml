@@ -25,7 +25,8 @@ let generated_circuit seed =
     }
 
 (* A random netlist exercising node kinds the generator avoids: LUTs of
-   arity 1-3, MUXes, constants and wide gates. *)
+   arity 1-4, MUXes, constants, XOR/XNOR of arity 2-4 and variadic gates
+   of up to 6 inputs — every fused opcode class of the engine. *)
 let adversarial_circuit seed =
   let rng = Random.State.make [| seed; 0xADE |] in
   let net = Netlist.create (Printf.sprintf "adv%d" seed) in
@@ -39,7 +40,7 @@ let adversarial_circuit seed =
     let id =
       match Random.State.int rng 6 with
       | 0 ->
-        let k = 1 + Random.State.int rng 3 in
+        let k = 1 + Random.State.int rng 4 in
         let truth =
           Array.init (1 lsl k) (fun _ -> Random.State.bool rng)
         in
@@ -49,11 +50,12 @@ let adversarial_circuit seed =
       | 3 ->
         let fn = List.nth [ Cell.And; Cell.Or; Cell.Nand; Cell.Nor ]
             (Random.State.int rng 4) in
-        let k = 2 + Random.State.int rng 3 in
+        let k = 2 + Random.State.int rng 5 in
         Netlist.add_gate net fn (Array.init k (fun _ -> pick ()))
       | 4 ->
         let fn = if Random.State.bool rng then Cell.Xor else Cell.Xnor in
-        Netlist.add_gate net fn [| pick (); pick () |]
+        let k = 2 + Random.State.int rng 3 in
+        Netlist.add_gate net fn (Array.init k (fun _ -> pick ()))
       | _ -> Netlist.add_gate net Cell.Buf [| pick () |]
     in
     pool := id :: !pool
@@ -224,17 +226,18 @@ let test_scratch_reuse () =
   let net = Benchmarks.s27 () in
   let eng = Netlist.Engine.get net in
   let sc = Netlist.Engine.create_scratch eng in
-  let a1 =
-    Array.copy (Netlist.Engine.eval_into ~scratch:sc eng (fun id -> id mod 2 = 0))
-  in
-  ignore (Netlist.Engine.eval_into ~scratch:sc eng (fun _ -> true));
-  let a2 = Netlist.Engine.eval_into ~scratch:sc eng (fun id -> id mod 2 = 0) in
-  Alcotest.(check bool) "same results across scratch reuse" true (a1 = a2);
+  let stim id = if id mod 2 = 0 then -1 else 0x5A5A in
+  let a1 = Array.copy (Netlist.Engine.eval_words_into ~scratch:sc eng stim) in
+  ignore (Netlist.Engine.eval_words_into ~scratch:sc eng (fun _ -> -1));
+  let a2 = Netlist.Engine.eval_words_into ~scratch:sc eng stim in
+  let n_slots = Netlist.Engine.n_slots eng in
+  Alcotest.(check bool) "same results across scratch reuse" true
+    (Array.sub a1 0 n_slots = Array.sub a2 0 n_slots);
   Alcotest.(check bool) "result aliases the scratch buffer" true
-    (a2 == Netlist.Engine.eval_into ~scratch:sc eng (fun _ -> false));
+    (a2 == Netlist.Engine.eval_words_into ~scratch:sc eng (fun _ -> 0));
   (* a scratch is tied to its engine *)
   let eng2 = Netlist.Engine.get (Benchmarks.s27 ()) in
-  (match Netlist.Engine.eval_into ~scratch:sc eng2 (fun _ -> false) with
+  (match Netlist.Engine.eval_words_into ~scratch:sc eng2 (fun _ -> 0) with
   | _ -> Alcotest.fail "expected Invalid_argument for foreign scratch"
   | exception Invalid_argument _ -> ());
   (* word and block paths share the scratch and agree *)
@@ -246,10 +249,124 @@ let test_scratch_reuse () =
     Netlist.Engine.eval_block ~scratch:sc eng ~n_words:2 ~fill:(fun buf ->
         Array.fill buf 0 (n_src * 2) (-1))
   in
-  for s = 0 to Netlist.Engine.n_slots eng - 1 do
+  for s = 0 to n_slots - 1 do
     Alcotest.(check int) "block word 0 = eval_words" w1.(s) blk.(s * 2);
     Alcotest.(check int) "block word 1 = eval_words" w1.(s) blk.((s * 2) + 1)
+  done;
+  (* back to one word after a wider block: the stride changes under the
+     same buffer and constants must be re-pinned *)
+  let w2 = Netlist.Engine.eval_words_into ~scratch:sc eng (fun _ -> -1) in
+  for s = 0 to n_slots - 1 do
+    Alcotest.(check int) "1-word eval after a 2-word block" w1.(s) w2.(s)
   done
+
+(* One netlist holding every fused opcode class — NOT, BUF, MUX, the six
+   variadic functions at arity 2, 3, 4 and the generic >= 5 path, and
+   LUTs of arity 0-4 — plus a gate whose fanin was killed (it reads the
+   spare zero slot).  Every lane of every node is checked against the
+   reference at 1, 3 and 8 words, with a partial last word. *)
+let test_every_opcode_class () =
+  let net = Netlist.create "opcodes" in
+  let ins = Array.init 6 (fun i -> Netlist.add_input net (Printf.sprintf "i%d" i)) in
+  let one = Netlist.add_const net true and zero = Netlist.add_const net false in
+  let pool = Array.append ins [| one; zero |] in
+  let rng = Random.State.make [| 0x0C |] in
+  let pick () = pool.(Random.State.int rng (Array.length pool)) in
+  let gates = ref [] in
+  let add id = gates := id :: !gates in
+  add (Netlist.add_gate net Cell.Not [| ins.(0) |]);
+  add (Netlist.add_gate net Cell.Buf [| ins.(1) |]);
+  add (Netlist.add_gate net Cell.Mux [| ins.(0); ins.(1); ins.(2) |]);
+  List.iter
+    (fun fn ->
+      for k = 2 to 6 do
+        (* distinct inputs, then repeats and constants *)
+        add (Netlist.add_gate net fn (Array.sub ins 0 k));
+        add (Netlist.add_gate net fn (Array.init k (fun _ -> pick ())))
+      done)
+    Cell.[ And; Or; Nand; Nor; Xor; Xnor ];
+  for k = 0 to 4 do
+    let truth = Array.init (1 lsl k) (fun _ -> Random.State.bool rng) in
+    add (Netlist.add_lut net ~truth (Array.sub ins 0 k))
+  done;
+  let doomed = Netlist.add_gate net Cell.And [| ins.(0); ins.(1) |] in
+  let orphan = Netlist.add_gate net Cell.Or [| doomed; ins.(2) |] in
+  let nor_orphan = Netlist.add_gate net Cell.Nor [| ins.(3); doomed |] in
+  add orphan;
+  add nor_orphan;
+  (* gates over gates, so fanins are instruction slots too *)
+  let layer = Array.of_list !gates in
+  for _ = 1 to 20 do
+    let fn = [| Cell.And; Cell.Xor; Cell.Nor; Cell.Xnor |].(Random.State.int rng 4) in
+    let k = 2 + Random.State.int rng 4 in
+    add
+      (Netlist.add_gate net fn
+         (Array.init k (fun _ -> layer.(Random.State.int rng (Array.length layer)))))
+  done;
+  List.iteri (fun i g -> Netlist.add_output net (Printf.sprintf "o%d" i) g) !gates;
+  Netlist.kill net doomed;
+  let eng = Netlist.Engine.get net in
+  let srcs = Netlist.Engine.sources eng in
+  let slot_of = Netlist.Engine.slot_of_id eng in
+  let w = Netlist.Engine.word_bits in
+  Alcotest.(check int) "killed node has no slot" (-1) slot_of.(doomed);
+  List.iter
+    (fun n_words ->
+      let lanes = (n_words * w) - 5 in
+      let stim =
+        Array.init (Array.length srcs * n_words) (fun i ->
+            let live = lanes - (i mod n_words * w) in
+            Netlist.Engine.random_word rng
+            land if live >= w then -1 else (1 lsl live) - 1)
+      in
+      let blk =
+        Netlist.Engine.eval_block eng ~n_words ~fill:(fun buf ->
+            Array.blit stim 0 buf 0 (Array.length stim))
+      in
+      let bit buf s l = (buf.((s * n_words) + (l / w)) lsr (l mod w)) land 1 = 1 in
+      for l = 0 to lanes - 1 do
+        let reference =
+          reference_eval net (fun id -> bit stim slot_of.(id) l)
+        in
+        Array.iteri
+          (fun id s ->
+            if s >= 0 && bit blk s l <> reference.(id) then
+              Alcotest.failf "%d words: lane %d node %d disagrees with reference"
+                n_words l id)
+          slot_of
+      done)
+    [ 1; 3; 8 ]
+
+(* engine.block_evals / engine.block_words account for every evaluation,
+   one-word entry points included, in the --metrics-out dump *)
+let test_block_counters_cover_all_evals () =
+  let net = Benchmarks.s27 () in
+  let eng = Netlist.Engine.get net in
+  let n_src = Array.length (Netlist.Engine.sources eng) in
+  let dump_value path name =
+    Obs.Metrics.write_file path;
+    match Cjson.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok j -> Option.value ~default:0 (Cjson.mem_int name j)
+    | Error e -> Alcotest.fail ("metrics dump unparseable: " ^ e)
+  in
+  let trace = Filename.temp_file "gklock_engine" ".jsonl" in
+  let dump = Filename.temp_file "gklock_engine" ".json" in
+  Obs.Trace.enable ~file:trace ();
+  let evals0 = dump_value dump "engine.block_evals" in
+  let words0 = dump_value dump "engine.block_words" in
+  ignore (Netlist.Engine.eval eng (fun _ -> true));
+  ignore (Netlist.Engine.eval_words eng (fun _ -> -1));
+  ignore (Netlist.Engine.eval_words_into eng (fun _ -> 0));
+  ignore
+    (Netlist.Engine.eval_block eng ~n_words:3 ~fill:(fun buf ->
+         Array.fill buf 0 (n_src * 3) (-1)));
+  let evals1 = dump_value dump "engine.block_evals" in
+  let words1 = dump_value dump "engine.block_words" in
+  Obs.Trace.disable ();
+  Sys.remove trace;
+  Sys.remove dump;
+  Alcotest.(check int) "four evaluations counted" 4 (evals1 - evals0);
+  Alcotest.(check int) "1 + 1 + 1 + 3 words counted" 6 (words1 - words0)
 
 let popcount_naive w =
   let c = ref 0 in
@@ -427,6 +544,10 @@ let suites =
           adversarial_block_law;
         tc "slot map: dense, unique, sources first" `Quick test_slot_map;
         tc "scratch reuse + ownership" `Quick test_scratch_reuse;
+        tc "every fused opcode class = reference at 1/3/8 words" `Quick
+          test_every_opcode_class;
+        tc "block counters cover every evaluation" `Quick
+          test_block_counters_cover_all_evals;
         tc "popcount + random_word" `Quick test_popcount_random_word;
         qcheck ~count:50 "SWAR popcount = naive bit loop" seed_arb
           popcount_swar_law;

@@ -160,25 +160,32 @@ let test_oracle_fn_key_memo () =
   Alcotest.(check int) "distinct name set evaluated" 3 !calls;
   Alcotest.(check int) "real evals counted" 3 (Oracle.queries o)
 
-(* forced shard counts must not change results, counters, or ordering *)
+(* forced shard counts must not change results, counters, or ordering:
+   2,100 queries keep each of 4 domains above several 504-lane blocks,
+   and the optimized twin must answer every batch lane like the scalar
+   path on the original netlist *)
 let test_oracle_sharded_batch () =
   let comb = comb_circuit 65 in
   let scalar = Oracle.of_netlist ~memo:false comb in
   let names = Oracle.input_names scalar in
   let rng = Random.State.make [| 65; 0x5ad |] in
   let dips =
-    List.init 300 (fun _ ->
+    List.init 2100 (fun _ ->
         List.map (fun n -> (n, Random.State.bool rng)) names)
   in
   let expect = List.map (Oracle.query scalar) dips in
   List.iter
-    (fun shards ->
-      let o = Oracle.of_netlist ~block_words:2 ~shards comb in
+    (fun (optimize, shards) ->
+      let o = Oracle.of_netlist ~shards ~optimize comb in
       let rs = Oracle.query_batch o dips in
       Alcotest.(check bool)
-        (Printf.sprintf "%d shards = scalar" shards)
-        true (rs = expect))
-    [ 1; 2; 4 ]
+        (Printf.sprintf "%d shards%s = scalar" shards
+           (if optimize then " (optimized)" else ""))
+        true (rs = expect);
+      Alcotest.(check int) "one evaluation per distinct query"
+        (List.length (List.sort_uniq compare dips))
+        (Oracle.queries o))
+    [ (false, 1); (false, 2); (false, 4); (true, 1); (true, 4) ]
 
 (* ----- registry ----- *)
 
