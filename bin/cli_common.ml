@@ -82,7 +82,11 @@ let serve_term =
       & info [ "flush-lanes" ] ~docv:"N" ~doc)
   in
   let flush_delay_arg =
-    let doc = "Max seconds a pending scalar query waits for lane-mates." in
+    let doc =
+      "Max seconds a pending scalar query waits for lane-mates (an upper \
+       bound: a word flushes at once when it is full, or when every \
+       connected client is a request/reply client with a query in it)."
+    in
     Arg.(
       value & opt float Gkd_server.default_config.Gkd_server.flush_delay_s
       & info [ "flush-delay" ] ~docv:"S" ~doc)

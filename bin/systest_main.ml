@@ -142,7 +142,10 @@ let flush_lanes_arg =
        & info [ "flush-lanes" ] ~docv:"N" ~doc)
 
 let flush_delay_arg =
-  let doc = "Daemon max coalescing delay in seconds." in
+  let doc =
+    "Daemon max coalescing delay in seconds (an upper bound: a full or \
+     complete word flushes at once)."
+  in
   Arg.(value & opt float Load_gen.default_cfg.Load_gen.l_flush_delay_s
        & info [ "flush-delay" ] ~docv:"SECONDS" ~doc)
 

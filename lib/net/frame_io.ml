@@ -1,5 +1,8 @@
 type addr = Unix_path of string | Tcp of string * int
 
+let m_bytes_in = Obs.Metrics.counter "wire.bytes_in"
+let m_bytes_out = Obs.Metrics.counter "wire.bytes_out"
+
 let parse_addr s =
   let prefix p = String.length s > String.length p && String.sub s 0 (String.length p) = p in
   let after p = String.sub s (String.length p) (String.length s - String.length p) in
@@ -85,7 +88,9 @@ let really_read fd buf len =
     else
       match Unix.read fd buf pos (len - pos) with
       | 0 -> `Short pos
-      | n -> go (pos + n)
+      | n ->
+        Obs.Metrics.add m_bytes_in n;
+        go (pos + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
       | exception Unix.Unix_error (e, _, _) -> `Unix e
   in
@@ -123,7 +128,9 @@ let write_frame fd ~id msg =
   let rec go pos =
     if pos < len then
       match Unix.write fd b pos (len - pos) with
-      | n -> go (pos + n)
+      | n ->
+        Obs.Metrics.add m_bytes_out n;
+        go (pos + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
   in
   go 0

@@ -5,7 +5,10 @@
     reads, interrupted syscalls and mid-frame EOF are all handled here;
     a {!read_frame} result is the only thing the caller's loop has to
     match on — no exception escapes for hostile bytes (genuine
-    [Unix_error]s on the descriptor surface as [`Unix]). *)
+    [Unix_error]s on the descriptor surface as [`Unix]).
+
+    Every byte read or written here is counted in the [wire.bytes_in] /
+    [wire.bytes_out] {!Obs.Metrics} counters. *)
 
 (** A server or client endpoint address. *)
 type addr =

@@ -3,6 +3,9 @@ let m_queries = Obs.Metrics.counter "gklockd.queries"
 let m_bad_frames = Obs.Metrics.counter "gklockd.bad_frames"
 let m_over_quota = Obs.Metrics.counter "gklockd.over_quota"
 let m_flushes = Obs.Metrics.counter "gklockd.flushes"
+let m_flush_full = Obs.Metrics.counter "gklockd.flush_full"
+let m_flush_complete = Obs.Metrics.counter "gklockd.flush_complete"
+let m_flush_deadline = Obs.Metrics.counter "gklockd.flush_deadline"
 let g_queue_depth = Obs.Metrics.gauge "gklockd.queue_depth"
 let h_batch_fill = Obs.Metrics.histogram "gklockd.batch_fill"
 let h_queue_wait = Obs.Metrics.histogram "gklockd.queue_wait_s"
@@ -50,6 +53,11 @@ type conn = {
   c_wmu : Mutex.t;  (* serializes frame writes; guards c_closed *)
   mutable c_closed : bool;
   mutable c_counter : Obs.Metrics.counter;
+  (* scalar flow state, guarded by [t.mu] (see the flush policy) *)
+  mutable c_queued : int;  (* scalar queries queued, over all designs *)
+  mutable c_design : string;  (* design of the latest queued query *)
+  mutable c_answered : bool;  (* a scalar query has left a queue *)
+  mutable c_pipelined : bool;  (* sticky: had two queued at once *)
 }
 
 type pending = {
@@ -68,9 +76,11 @@ type design = {
          state, and evaluations run both on reader threads (explicit
          [Query_batch] frames) and on the design's flusher thread *)
   ds_info : Wire.design_info;
-  ds_mu : Mutex.t;
-  ds_nonempty : Condition.t;
+  ds_mu : Mutex.t;  (* guards [ds_q] *)
   ds_q : pending Queue.t;
+  ds_wake_r : Unix.file_descr;
+  ds_wake_w : Unix.file_descr;
+      (* self-pipe: a byte written here wakes the design's flusher *)
 }
 
 type t = {
@@ -81,7 +91,9 @@ type t = {
   by_name : (string, design) Hashtbl.t;
   client_counters : (string, Obs.Metrics.counter) Hashtbl.t;
       (* client-name -> counter, bounded by [max_client_counters] *)
-  mu : Mutex.t;  (* conns / readers / lifecycle state *)
+  mu : Mutex.t;
+      (* conns / readers / lifecycle state, and every connection's
+         scalar flow state *)
   stop_cond : Condition.t;
   mutable conns : conn list;
   mutable readers : Thread.t list;
@@ -102,6 +114,9 @@ let combinational net =
 let mk_design cfg (name, net) =
   if name = "" then invalid_arg "Gkd_server.create: empty design name";
   let comb = combinational net in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let oracle =
     Oracle.of_netlist ~partial:(not cfg.strict_queries) ~memo:cfg.oracle_memo
       ?memo_cap:cfg.oracle_memo_cap comb
@@ -118,9 +133,15 @@ let mk_design cfg (name, net) =
         d_cells = Netlist.num_nodes comb;
       };
     ds_mu = Mutex.create ();
-    ds_nonempty = Condition.create ();
     ds_q = Queue.create ();
+    ds_wake_r = wake_r;
+    ds_wake_w = wake_w;
   }
+
+let close_wake_pipe ds =
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ ds.ds_wake_r; ds.ds_wake_w ]
 
 let create ~config ~listen designs =
   if config.flush_lanes < 1 then
@@ -128,18 +149,27 @@ let create ~config ~listen designs =
   if config.flush_delay_s <= 0.0 then
     invalid_arg "Gkd_server.create: flush_delay_s must be > 0";
   let by_name = Hashtbl.create 8 in
-  let designs =
-    List.map
-      (fun d ->
-        let ds = mk_design config d in
-        if Hashtbl.mem by_name ds.ds_name then
-          invalid_arg
-            (Printf.sprintf "Gkd_server.create: duplicate design %S" ds.ds_name);
-        Hashtbl.replace by_name ds.ds_name ds;
-        ds)
-      designs
+  let designs, listen_fd =
+    try
+      let designs =
+        List.map
+          (fun d ->
+            let ds = mk_design config d in
+            if Hashtbl.mem by_name ds.ds_name then begin
+              close_wake_pipe ds;
+              invalid_arg
+                (Printf.sprintf "Gkd_server.create: duplicate design %S"
+                   ds.ds_name)
+            end;
+            Hashtbl.replace by_name ds.ds_name ds;
+            ds)
+          designs
+      in
+      (designs, Frame_io.listen listen)
+    with e ->
+      Hashtbl.iter (fun _ ds -> close_wake_pipe ds) by_name;
+      raise e
   in
-  let listen_fd = Frame_io.listen listen in
   let bound =
     match listen with
     | Frame_io.Tcp (host, 0) -> (
@@ -178,6 +208,28 @@ let live_connections t =
 
 let design_oracle t name =
   Option.map (fun ds -> ds.ds_oracle) (Hashtbl.find_opt t.by_name name)
+
+(* ----- flusher wake-ups ----- *)
+
+(* One byte on the self-pipe wakes the flusher from its [select].  A
+   full pipe (EAGAIN) means a wake-up is already pending, so write
+   errors are ignored. *)
+let wake_byte = Bytes.make 1 '!'
+
+let wake_flusher ds =
+  try ignore (Unix.single_write ds.ds_wake_w wake_byte 0 1)
+  with Unix.Unix_error _ -> ()
+
+let drain_wakes ds =
+  let buf = Bytes.create 64 in
+  let rec go () =
+    match Unix.read ds.ds_wake_r buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> ()  (* EAGAIN: drained *)
+  in
+  go ()
 
 (* ----- replies -----
 
@@ -254,12 +306,7 @@ let initiate_stop t =
      with Unix.Unix_error _ -> ());
     (try Unix.close (Frame_io.connect t.bound) with
     | Unix.Unix_error _ | Sys_error _ -> ());
-    List.iter
-      (fun ds ->
-        Mutex.lock ds.ds_mu;
-        Condition.broadcast ds.ds_nonempty;
-        Mutex.unlock ds.ds_mu)
-      t.designs
+    List.iter wake_flusher t.designs
   end
 
 (* Reader-side connection teardown.  Membership in [t.conns] is the
@@ -267,14 +314,17 @@ let initiate_stop t =
    [wait] run under [t.mu], so neither ever touches a recycled fd. *)
 let close_conn t conn =
   Mutex.lock t.mu;
-  if List.memq conn t.conns then begin
+  let live = List.memq conn t.conns in
+  if live then begin
     t.conns <- List.filter (fun c -> c != conn) t.conns;
     Mutex.lock conn.c_wmu;
     conn.c_closed <- true;
     (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
     Mutex.unlock conn.c_wmu
   end;
-  Mutex.unlock t.mu
+  Mutex.unlock t.mu;
+  (* a word that was waiting on this connection may now be complete *)
+  if live then List.iter wake_flusher t.designs
 
 (* ----- request handling (reader threads) ----- *)
 
@@ -319,6 +369,72 @@ let client_counter t name =
   in
   Mutex.unlock t.mu;
   c
+
+(* ----- the flush policy -----
+
+   A design's pending word flushes at once when it is [Full]
+   ([flush_lanes] lanes) or [Complete]: every live connection has a
+   scalar query in this design's queue, each has had an earlier scalar
+   query answered, and none has ever had two scalar queries queued at
+   once.  Such a client is strictly request/reply ([Remote_oracle]
+   sends its next query only after the reply), so no further lane can
+   arrive and waiting would add latency without adding lanes.  A client
+   proves it is request/reply only by querying again after a reply;
+   until then (idle connections, pipelining clients, each connection's
+   first query) the word waits until [flush_delay_s] after its oldest
+   entry ([Deadline], which also covers the drain at shutdown).
+
+   Lock order: [ds.ds_mu], then [t.mu], then [c_wmu].  Pushes and pops
+   update the connections' flow state while holding both [ds.ds_mu]
+   and [t.mu], so the completeness test sees the queue, the live
+   connections and their flow state at one instant. *)
+
+type flush_reason = Full | Complete | Deadline
+
+(* Caller holds [ds.ds_mu] and [t.mu].  A complete word holds one entry
+   per live connection, so the scan is bounded by [flush_lanes]. *)
+let word_ready t ds =
+  let n = Queue.length ds.ds_q in
+  if n >= t.cfg.flush_lanes then Some Full
+  else if
+    t.conns <> []
+    && List.compare_length_with t.conns n <= 0
+    && List.for_all
+         (fun c ->
+           c.c_answered && (not c.c_pipelined) && c.c_queued = 1
+           && c.c_design = ds.ds_name)
+         t.conns
+  then Some Complete
+  else None
+
+(* Queue a scalar query; [false] when the server is stopping.  Checking
+   [t.stopping] under [ds.ds_mu] means no query is queued after the
+   flusher's final drain. *)
+let enqueue t ds conn ~id q =
+  Mutex.lock ds.ds_mu;
+  Mutex.lock t.mu;
+  if t.stopping then begin
+    Mutex.unlock t.mu;
+    Mutex.unlock ds.ds_mu;
+    false
+  end
+  else begin
+    (* the first entry sets the flusher's deadline *)
+    let wake_first = Queue.is_empty ds.ds_q in
+    Queue.push
+      { p_conn = conn; p_id = id; p_q = q; p_t = Unix.gettimeofday () }
+      ds.ds_q;
+    conn.c_queued <- conn.c_queued + 1;
+    if conn.c_queued > 1 then conn.c_pipelined <- true;
+    conn.c_design <- ds.ds_name;
+    let wake = wake_first || word_ready t ds <> None in
+    Mutex.unlock t.mu;
+    let depth = Queue.length ds.ds_q in
+    Mutex.unlock ds.ds_mu;
+    Obs.Metrics.set g_queue_depth (float_of_int depth);
+    if wake then wake_flusher ds;
+    true
+  end
 
 (* Returns [false] when the reader loop should stop. *)
 let handle t conn ~id msg =
@@ -373,22 +489,9 @@ let handle t conn ~id msg =
             (Printf.sprintf "design %S is not hosted here" design);
           true
         | Some ds ->
-          if t.stopping then begin
+          if not (enqueue t ds conn ~id assignment) then
             reply_error conn ~id Wire.Shutting_down "server is shutting down";
-            true
-          end
-          else begin
-            Mutex.lock ds.ds_mu;
-            Queue.push
-              { p_conn = conn; p_id = id; p_q = assignment;
-                p_t = Unix.gettimeofday () }
-              ds.ds_q;
-            let depth = Queue.length ds.ds_q in
-            Condition.signal ds.ds_nonempty;
-            Mutex.unlock ds.ds_mu;
-            Obs.Metrics.set g_queue_depth (float_of_int depth);
-            true
-          end)
+          true)
       | Wire.Query_batch { design; assignments } -> (
         match find_design t design with
         | None ->
@@ -493,43 +596,61 @@ let flush ds lanes =
             survivors
       end)
 
+(* Caller holds [ds.ds_mu] and [t.mu]: pop up to [flush_lanes] entries
+   and record that each connection's query has left the queue. *)
+let take_word t ds =
+  let lanes = ref [] in
+  let k = ref 0 in
+  while !k < t.cfg.flush_lanes && not (Queue.is_empty ds.ds_q) do
+    let p = Queue.pop ds.ds_q in
+    p.p_conn.c_queued <- p.p_conn.c_queued - 1;
+    p.p_conn.c_answered <- true;
+    lanes := p :: !lanes;
+    incr k
+  done;
+  List.rev !lanes
+
+(* Caller holds [ds.ds_mu] and [t.mu]. *)
+let next_step t ds =
+  if Queue.is_empty ds.ds_q then if t.stopping then `Exit else `Sleep None
+  else
+    match word_ready t ds with
+    | Some r -> `Flush r
+    | None ->
+      let due = (Queue.peek ds.ds_q).p_t +. t.cfg.flush_delay_s in
+      let left = due -. Unix.gettimeofday () in
+      if t.stopping || left <= 0.0 then `Flush Deadline else `Sleep (Some left)
+
+(* Block until a wake-up byte arrives or [timeout] seconds pass.  A
+   failed [select] only costs an early re-check: the flusher must never
+   die, or every scalar client of the design would hang. *)
+let await ds timeout =
+  let timeout = Option.value timeout ~default:(-1.0) in
+  (try ignore (Unix.select [ ds.ds_wake_r ] [] [] timeout)
+   with Unix.Unix_error _ -> ());
+  drain_wakes ds
+
 let flusher t ds () =
   let rec loop () =
     Mutex.lock ds.ds_mu;
-    while Queue.is_empty ds.ds_q && not t.stopping do
-      Condition.wait ds.ds_nonempty ds.ds_mu
-    done;
-    if Queue.is_empty ds.ds_q then (* stopping, nothing left *)
-      Mutex.unlock ds.ds_mu
-    else begin
-      (* flush policy: a full word flushes immediately; otherwise wait
-         out the remainder of flush_delay_s from the oldest arrival.
-         [Condition] has no timed wait, so the delay is slept in small
-         slices with the queue re-checked between them. *)
-      let oldest = (Queue.peek ds.ds_q).p_t in
-      let rec settle () =
-        if
-          Queue.length ds.ds_q < t.cfg.flush_lanes
-          && (not t.stopping)
-          && Unix.gettimeofday () -. oldest < t.cfg.flush_delay_s
-        then begin
-          Mutex.unlock ds.ds_mu;
-          Thread.delay (min 0.0005 t.cfg.flush_delay_s);
-          Mutex.lock ds.ds_mu;
-          settle ()
-        end
-      in
-      settle ();
-      let lanes = ref [] in
-      let k = ref 0 in
-      while !k < t.cfg.flush_lanes && not (Queue.is_empty ds.ds_q) do
-        lanes := Queue.pop ds.ds_q :: !lanes;
-        incr k
-      done;
-      let depth = Queue.length ds.ds_q in
-      Mutex.unlock ds.ds_mu;
+    Mutex.lock t.mu;
+    let step = next_step t ds in
+    let lanes = match step with `Flush _ -> take_word t ds | _ -> [] in
+    Mutex.unlock t.mu;
+    let depth = Queue.length ds.ds_q in
+    Mutex.unlock ds.ds_mu;
+    match step with
+    | `Exit -> ()
+    | `Sleep timeout ->
+      await ds timeout;
+      loop ()
+    | `Flush reason ->
       Obs.Metrics.set g_queue_depth (float_of_int depth);
-      let lanes = List.rev !lanes in
+      Obs.Metrics.incr
+        (match reason with
+        | Full -> m_flush_full
+        | Complete -> m_flush_complete
+        | Deadline -> m_flush_deadline);
       (* the flusher must outlive any single bad word: [flush] handles
          engine and reply errors itself, so anything escaping is a bug —
          answer the word's lanes with a structured error rather than
@@ -541,7 +662,6 @@ let flusher t ds () =
            (fun p -> reply_error p.p_conn ~id:p.p_id Wire.Server_error m)
            lanes);
       loop ()
-    end
   in
   loop ()
 
@@ -573,6 +693,10 @@ let acceptor t () =
             (* shared until a [Hello] names the client: a fresh counter
                per connection would grow the registry without bound *)
             c_counter = m_other_queries;
+            c_queued = 0;
+            c_design = "";
+            c_answered = false;
+            c_pipelined = false;
           }
         in
         t.conns <- conn :: t.conns;
@@ -647,7 +771,11 @@ let wait t =
     | Frame_io.Tcp _ -> ());
     write_metrics t;
     Mutex.lock t.mu;
-    t.stopped <- true;
+    if not t.stopped then begin
+      (* every thread that could wake a flusher has been joined *)
+      List.iter close_wake_pipe t.designs;
+      t.stopped <- true
+    end;
     Mutex.unlock t.mu
   end
 

@@ -9,10 +9,19 @@
 
     - {b scalar coalescing}: [Query] frames from {e all} clients of a
       design land in one pending queue.  The flusher drains a word as
-      soon as {!config.flush_lanes} lanes are pending, or after
-      {!config.flush_delay_s} from the oldest entry — so a lone client
-      pays at most the flush delay while a busy server packs full
-      63-lane words into every engine pass.
+      soon as it is {e full} ({!config.flush_lanes} lanes) or
+      {e complete}: every live connection has a scalar query in this
+      design's queue, each has had an earlier scalar query answered,
+      and none has ever had two scalar queries queued at once.  Such a
+      client is request/reply and cannot add a lane before its reply,
+      so waiting would add latency and no lanes.  Otherwise (idle
+      connections, pipelining clients, each connection's first query)
+      the word flushes {!config.flush_delay_s} after its oldest entry.
+      A busy server packs full 63-lane words into every engine pass; a
+      set of closed-loop clients pays no delay after its first word.
+      The flusher sleeps in [select] on a per-design self-pipe, which
+      readers write to when they queue a first entry or complete a
+      word, and which connection close and shutdown also wake.
     - {b per-client quotas}: every connection gets its own {!Budget.t}
       ({!config.max_queries_per_client} / {!config.client_deadline_s}).
       Lanes are charged at {e flush} time: a client whose quota expired
@@ -29,7 +38,8 @@
 
     Instrumentation (all via {!Obs}): [gklockd.connections] /
     [gklockd.queries] / [gklockd.bad_frames] / [gklockd.over_quota]
-    counters, a per-client [gklockd.client_queries.<name>] counter
+    counters, flush counts by reason ([gklockd.flush_full] /
+    [gklockd.flush_complete] / [gklockd.flush_deadline]), a per-client [gklockd.client_queries.<name>] counter
     (capped at 256 distinct names; further names — and clients that
     never send a [Hello] — share [gklockd.client_queries.other]), the
     [gklockd.queue_depth] gauge, the [gklockd.batch_fill] histogram
@@ -53,7 +63,7 @@ type config = {
           word) *)
   flush_delay_s : float;
       (** max time a pending scalar query waits for lane-mates (default
-          2 ms) *)
+          2 ms); an upper bound: a complete word flushes at once *)
   max_queries_per_client : int option;  (** per-connection query quota *)
   client_deadline_s : float option;
       (** per-connection wall-clock quota, from accept time *)

@@ -2,30 +2,60 @@ let protocol_version = 1
 let header_bytes = 16
 let max_payload = 1 lsl 24
 
-(* ----- CRC-32 (IEEE 802.3), table-driven ----- *)
+(* ----- CRC-32 (IEEE 802.3), slicing-by-8 -----
+
+   [crc_table] holds eight 256-entry tables back to back, over native
+   ints: entry [k*256 + n] is the CRC register after byte [n] followed
+   by [k] zero bytes.  The main loop folds 8 bytes per step, read as two
+   little-endian 32-bit words, through all eight tables; the last
+   [len mod 8] bytes go through the first table one at a time. *)
+
+let crc_poly = 0xEDB88320
 
 let crc_table =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then crc_poly lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
 let crc32 b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Wire.crc32: range outside the buffer";
   let t = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.unsafe_get b i)))) 0xFFl)
-    in
-    c := Int32.logxor (Int32.shift_right_logical !c 8) t.(idx)
+  let tab k n = Array.unsafe_get t ((k * 256) + n) in
+  let word i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF in
+  let c = ref 0xFFFFFFFF in
+  let i = ref pos in
+  let blocks_end = pos + (len land lnot 7) in
+  while !i < blocks_end do
+    let x = !c lxor word !i and y = word (!i + 4) in
+    c :=
+      tab 7 (x land 0xff)
+      lxor tab 6 ((x lsr 8) land 0xff)
+      lxor tab 5 ((x lsr 16) land 0xff)
+      lxor tab 4 (x lsr 24)
+      lxor tab 3 (y land 0xff)
+      lxor tab 2 ((y lsr 8) land 0xff)
+      lxor tab 1 ((y lsr 16) land 0xff)
+      lxor tab 0 (y lsr 24);
+    i := !i + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  for j = blocks_end to pos + len - 1 do
+    c := (!c lsr 8) lxor tab 0 ((!c lxor Char.code (Bytes.unsafe_get b j)) land 0xff)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* ----- error codes ----- *)
 
@@ -157,19 +187,15 @@ let error_code_of_wire_error = function
 
 (* ----- encoding ----- *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
 
 let put_u16 b v =
   if v < 0 || v > 0xffff then invalid_arg "Wire.encode: u16 out of range";
-  put_u8 b (v lsr 8);
-  put_u8 b v
+  Buffer.add_uint16_be b v
 
 let put_u32 b v =
   if v < 0 || v > 0xFFFFFFFF then invalid_arg "Wire.encode: u32 out of range";
-  put_u8 b (v lsr 24);
-  put_u8 b (v lsr 16);
-  put_u8 b (v lsr 8);
-  put_u8 b v
+  Buffer.add_int32_be b (Int32.of_int v)
 
 let put_str b s =
   put_u16 b (String.length s);
@@ -183,9 +209,8 @@ let put_assignment b a =
       put_u8 b (if v then 1 else 0))
     a
 
-let encode_payload msg =
-  let b = Buffer.create 64 in
-  (match msg with
+let encode_payload b msg =
+  match msg with
   | Hello { client; proto } ->
     put_str b client;
     put_u8 b proto
@@ -217,27 +242,29 @@ let encode_payload msg =
     List.iter (put_assignment b) rs
   | Error { code; detail } ->
     put_u8 b (error_code_byte code);
-    put_str b detail);
-  Buffer.to_bytes b
+    put_str b detail
 
+(* The frame is built in one buffer: the payload is appended after a
+   placeholder header, which is filled in place once the payload length
+   and CRC are known. *)
 let encode ~id msg =
   if id < 0 || id > 0xFFFFFFFF then
     invalid_arg "Wire.encode: request id out of u32 range";
-  let payload = encode_payload msg in
-  let len = Bytes.length payload in
+  let b = Buffer.create 256 in
+  Buffer.add_string b (String.make header_bytes '\000');
+  encode_payload b msg;
+  let f = Buffer.to_bytes b in
+  let len = Bytes.length f - header_bytes in
   if len > max_payload then
     invalid_arg
       (Printf.sprintf "Wire.encode: payload %d exceeds max_payload" len);
-  let crc = crc32 payload ~pos:0 ~len in
-  let f = Bytes.create (header_bytes + len) in
   Bytes.set f 0 'G';
   Bytes.set f 1 'K';
   Bytes.set f 2 (Char.chr protocol_version);
   Bytes.set f 3 (Char.chr (msg_type msg));
   Bytes.set_int32_be f 4 (Int32.of_int id);
   Bytes.set_int32_be f 8 (Int32.of_int len);
-  Bytes.set_int32_be f 12 crc;
-  Bytes.blit payload 0 f header_bytes len;
+  Bytes.set_int32_be f 12 (crc32 f ~pos:header_bytes ~len);
   f
 
 (* ----- decoding -----
@@ -281,11 +308,13 @@ let decode_header b =
 
 exception Bad of string
 
-type cursor = { buf : Bytes.t; mutable pos : int; stop : int }
+(* [base] is where the payload starts in [buf]; offsets in messages are
+   relative to it. *)
+type cursor = { buf : Bytes.t; base : int; mutable pos : int; stop : int }
 
 let need c n =
   if c.stop - c.pos < n then
-    raise (Bad (Printf.sprintf "need %d bytes at offset %d" n c.pos))
+    raise (Bad (Printf.sprintf "need %d bytes at offset %d" n (c.pos - c.base)))
 
 let get_u8 c =
   need c 1;
@@ -387,28 +416,33 @@ let decode_msg mtype c =
 let known_type t =
   List.mem t [ 0x01; 0x02; 0x03; 0x04; 0x05; 0x06; 0x81; 0x82; 0x83; 0x84; 0x85; 0x86; 0xFF ]
 
-let decode_payload h payload =
-  let have = Bytes.length payload in
-  if have < h.h_len then
-    Stdlib.Error (Truncated { have = header_bytes + have; need = header_bytes + h.h_len })
-  else if have > h.h_len then
-    Stdlib.Error (Malformed "trailing bytes after payload")
-  else if not (known_type h.h_type) then Stdlib.Error (Unknown_msg_type h.h_type)
-  else if crc32 payload ~pos:0 ~len:h.h_len <> h.h_crc then
+(* Parse the payload of [h] found at [buf.[off, off + h_len)]; the
+   caller has checked that exactly those bytes follow the header. *)
+let parse_payload h buf ~off =
+  if not (known_type h.h_type) then Stdlib.Error (Unknown_msg_type h.h_type)
+  else if crc32 buf ~pos:off ~len:h.h_len <> h.h_crc then
     Stdlib.Error Crc_mismatch
   else
-    let c = { buf = payload; pos = 0; stop = h.h_len } in
+    let c = { buf; base = off; pos = off; stop = off + h.h_len } in
     match decode_msg h.h_type c with
     | msg ->
       if c.pos <> c.stop then Stdlib.Error (Malformed "trailing bytes in payload")
       else Stdlib.Ok { id = h.h_id; msg }
     | exception Bad d -> Stdlib.Error (Malformed d)
 
+(* [have] payload bytes are present where [h] announces [h_len]. *)
+let check_length h ~have =
+  if have < h.h_len then
+    Stdlib.Error (Truncated { have = header_bytes + have; need = header_bytes + h.h_len })
+  else if have > h.h_len then
+    Stdlib.Error (Malformed "trailing bytes after payload")
+  else Stdlib.Ok ()
+
+let decode_payload h payload =
+  Result.bind (check_length h ~have:(Bytes.length payload)) (fun () ->
+      parse_payload h payload ~off:0)
+
 let decode b =
-  match decode_header b with
-  | Stdlib.Error e -> Stdlib.Error e
-  | Ok h ->
-    let have = Bytes.length b - header_bytes in
-    if have < h.h_len then
-      Stdlib.Error (Truncated { have = Bytes.length b; need = header_bytes + h.h_len })
-    else decode_payload h (Bytes.sub b header_bytes (Bytes.length b - header_bytes))
+  Result.bind (decode_header b) (fun h ->
+      Result.bind (check_length h ~have:(Bytes.length b - header_bytes))
+        (fun () -> parse_payload h b ~off:header_bytes))

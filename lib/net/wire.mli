@@ -37,8 +37,9 @@ val header_bytes : int
     allocation. *)
 val max_payload : int
 
-(** CRC-32 (IEEE 802.3 polynomial) of [len] bytes of [b] at [pos] —
-    exposed for tests. *)
+(** CRC-32 (IEEE 802.3 polynomial; check value [0xCBF43926] on
+    ["123456789"]) of [len] bytes of [b] at [pos] — exposed for tests.
+    @raise Invalid_argument if the range is not inside [b]. *)
 val crc32 : Bytes.t -> pos:int -> len:int -> int32
 
 (** Structured error codes carried by {!Error} frames. *)
@@ -136,5 +137,6 @@ val decode_header : Bytes.t -> (header, wire_error) result
 val decode_payload : header -> Bytes.t -> (frame, wire_error) result
 
 (** [decode b] parses one complete frame from [b] (header + payload,
-    trailing bytes rejected as [Malformed]).  Never raises. *)
+    trailing bytes rejected as [Malformed]), reading the payload in
+    place.  Never raises. *)
 val decode : Bytes.t -> (frame, wire_error) result

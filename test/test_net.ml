@@ -112,6 +112,65 @@ let qc_garbage =
     (fun s ->
       match Wire.decode (Bytes.of_string s) with _ -> true)
 
+(* ----- CRC-32 and wire-format pins -----
+
+   A self-consistent codec round-trips whatever its CRC is, so these
+   pin the bytes themselves: the IEEE check value, an independent
+   bit-at-a-time reference over arbitrary ranges, and golden frames. *)
+
+let crc32_bitwise b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let test_crc_check_value () =
+  Alcotest.(check int32) "crc32 \"123456789\"" 0xCBF43926l
+    (Wire.crc32 (Bytes.of_string "123456789") ~pos:0 ~len:9)
+
+let qc_crc_reference =
+  Qc.qcheck ~count:500 "crc32 matches the bitwise reference"
+    (QCheck.make
+       ~print:(fun (s, a, b) -> Printf.sprintf "%d bytes, %d, %d" (String.length s) a b)
+       QCheck.Gen.(
+         triple
+           (string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 300))
+           nat nat))
+    (fun (s, a, b) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Wire.crc32 buf ~pos ~len = crc32_bitwise buf ~pos ~len)
+
+let hex_of_bytes b =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (Bytes.to_seq b)))
+
+let test_golden_frames () =
+  let q =
+    Wire.Query_batch
+      {
+        design = "s27";
+        assignments = [ [ ("G0", true); ("G1", false) ]; [ ("G2", true) ] ];
+      }
+  in
+  let r = Wire.Batch_result [ [ ("G17", false) ]; [ ("G17", true); ("G11", false) ] ] in
+  Alcotest.(check string) "query_batch frame"
+    "474b0104010203040000001c14a386d8000373323700000002000200024730010002473100\
+     00010002473201"
+    (hex_of_bytes (Wire.encode ~id:0x01020304 q));
+  Alcotest.(check string) "batch_result frame"
+    "474b0184000000070000001aa09a17290000000200010003473137000002000347313701\
+     000347313100"
+    (hex_of_bytes (Wire.encode ~id:7 r))
+
 (* ----- the exact max_payload boundary ----- *)
 
 (* A [Batch_result] with one assignment whose pin names are tuned so the
@@ -386,6 +445,136 @@ let test_quota_mid_word () =
       let count, sum = histogram_stats "gklockd.batch_fill" in
       Alcotest.(check int) "one flush" 1 count;
       Alcotest.(check (float 0.001)) "eight coalesced lanes" 8.0 sum)
+
+(* ----- the flush policy: complete words flush at once ----- *)
+
+let counter name = Obs.Metrics.value (Obs.Metrics.counter name)
+
+type exchange = {
+  elapsed : float;
+  flushes : int;
+  full : int;
+  complete : int;
+  deadline : int;
+}
+
+(* Two [Remote_oracle] clients each make [n] sequential scalar queries
+   under a 0.4 s flush delay; with [~idle:true] a third connection says
+   [Hello] and then stays silent.  Every answer is checked against an
+   in-process oracle. *)
+let sequential_exchange ?(idle = false) n =
+  Obs.Metrics.reset ();
+  let config = { Gkd_server.default_config with Gkd_server.flush_delay_s = 0.4 } in
+  let net = Benchmarks.s27 () in
+  let local = Oracle.of_netlist (fst (Combinationalize.run net)) in
+  with_server ~config [ ("s27", net) ] (fun _t path ->
+      let addr = Frame_io.Unix_path path in
+      let idle_fd =
+        if idle then begin
+          let fd = Frame_io.connect addr in
+          hello fd ~id:1 "idle";
+          Some fd
+        end
+        else None
+      in
+      let clients =
+        List.init 2 (fun i ->
+            Remote_oracle.connect ~client:(Printf.sprintf "seq%d" i) ~memo:false
+              addr)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter Remote_oracle.close clients;
+          Option.iter Unix.close idle_fd)
+      @@ fun () ->
+      let pins = Oracle.input_names local in
+      let asg i = List.mapi (fun b p -> (p, (i lsr b) land 1 = 1)) pins in
+      let answers = Array.make 2 [] in
+      let t0 = Unix.gettimeofday () in
+      let threads =
+        List.mapi
+          (fun i r ->
+            Thread.create
+              (fun () ->
+                let o = Remote_oracle.oracle r in
+                for j = 1 to n do
+                  let q = asg ((i * 64) + j) in
+                  answers.(i) <- (q, Oracle.query o q) :: answers.(i)
+                done)
+              ())
+          clients
+      in
+      List.iter Thread.join threads;
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let norm a = List.sort compare a in
+      Array.iter
+        (fun qa ->
+          Alcotest.(check int) "every query answered" n (List.length qa);
+          List.iter
+            (fun (q, got) ->
+              if norm got <> norm (Oracle.query local q) then
+                Alcotest.fail "daemon answer differs from the local oracle")
+            qa)
+        answers;
+      {
+        elapsed;
+        flushes = counter "gklockd.flushes";
+        full = counter "gklockd.flush_full";
+        complete = counter "gklockd.flush_complete";
+        deadline = counter "gklockd.flush_deadline";
+      })
+
+let test_flush_on_complete () =
+  let x = sequential_exchange 20 in
+  Alcotest.(check int) "no word was full" 0 x.full;
+  (* no client has been answered before the first word, so it (or, if
+     the two threads start far apart, the first two) waits the delay *)
+  Alcotest.(check bool)
+    (Printf.sprintf "1 or 2 deadline flushes (got %d)" x.deadline)
+    true
+    (x.deadline >= 1 && x.deadline <= 2);
+  Alcotest.(check int) "every later word flushed as complete"
+    (x.flushes - x.deadline) x.complete;
+  Alcotest.(check bool)
+    (Printf.sprintf "well under 20 x 0.4 s (took %.2f s)" x.elapsed)
+    true (x.elapsed < 2.0)
+
+let test_idle_connection_pays_delay () =
+  (* 5 rather than 20 queries: every word waits the full 0.4 s here *)
+  let n = 5 in
+  let x = sequential_exchange ~idle:true n in
+  Alcotest.(check int) "no word flushed as complete" 0 x.complete;
+  Alcotest.(check int) "every word waited out the delay" x.flushes x.deadline;
+  Alcotest.(check bool)
+    (Printf.sprintf "at least %d x 0.4 s (took %.2f s)" n x.elapsed)
+    true
+    (x.elapsed >= 0.4 *. float_of_int n *. 0.99)
+
+let test_stop_with_pending_query () =
+  let config = { Gkd_server.default_config with Gkd_server.flush_delay_s = 5.0 } in
+  with_server ~config [ ("s27", Benchmarks.s27 ()) ] (fun t path ->
+      let fd = Frame_io.connect (Frame_io.Unix_path path) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      hello fd ~id:1 "pending";
+      send fd ~id:2 (Wire.Query { design = "s27"; assignment = [] });
+      (* frames are handled in order: the pong proves the query is queued *)
+      send fd ~id:3 Wire.Ping;
+      (match recv fd with
+      | { Wire.id = 3; msg = Wire.Pong } -> ()
+      | _ -> Alcotest.fail "expected the pong before the query's reply");
+      let t0 = Unix.gettimeofday () in
+      Gkd_server.stop t;
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "stop returns within 1 s (took %.2f s)" dt)
+        true (dt < 1.0);
+      match recv fd with
+      | { Wire.id = 2; msg = Wire.Result _ }
+      | { Wire.id = 2; msg = Wire.Error { code = Wire.Shutting_down; _ } } ->
+        ()
+      | { Wire.id; msg } ->
+        Alcotest.failf "pending query: unexpected #%d %s" id
+          (Wire.msg_type_name msg))
 
 (* ----- structured errors for unknown designs ----- *)
 
@@ -776,7 +965,9 @@ let test_metrics_dump_and_shutdown () =
           (List.mem_assoc key kvs))
       [
         "gklockd.batch_fill"; "gklockd.queries"; "gklockd.queue_depth";
-        "gklockd.connections"; "oracle.memo_evictions"; "oracle.memo_hits";
+        "gklockd.connections"; "gklockd.flush_full"; "gklockd.flush_complete";
+        "gklockd.flush_deadline"; "wire.bytes_in"; "wire.bytes_out";
+        "oracle.memo_evictions"; "oracle.memo_hits";
       ]
   | Ok _ -> Alcotest.fail "metrics dump is not a JSON object"
   | Error e -> Alcotest.fail ("metrics dump is not valid JSON: " ^ e))
@@ -786,7 +977,9 @@ let suites =
     ( "net-wire",
       [
         qc_roundtrip; qc_truncated; qc_mutated; qc_garbage;
-        qc_payload_boundary;
+        qc_payload_boundary; qc_crc_reference;
+        tc "crc32 check value" `Quick test_crc_check_value;
+        tc "golden batch frames" `Quick test_golden_frames;
         tc "oversized length rejected" `Quick test_oversized;
         tc "payload CRC checked" `Quick test_crc_mismatch;
         tc "unknown type byte rejected" `Quick test_unknown_type;
@@ -802,6 +995,11 @@ let suites =
         tc "registry verdict parity over the wire" `Slow test_registry_parity;
         tc "quota exhaustion inside a coalesced word" `Slow
           test_quota_mid_word;
+        tc "a complete word flushes at once" `Slow test_flush_on_complete;
+        tc "an idle connection keeps the flush delay" `Slow
+          test_idle_connection_pays_delay;
+        tc "stop answers a pending scalar query" `Quick
+          test_stop_with_pending_query;
         tc "unknown design is a structured error" `Quick test_unknown_design;
         tc "concurrent batches share one oracle safely" `Slow
           test_concurrent_batches;
