@@ -13,6 +13,7 @@ test:
 bench:
 	dune exec bench/main.exe
 
+# Same as bench without the attack comparison; Tables I and II run in full.
 bench-quick:
 	dune exec bench/main.exe -- --quick
 

@@ -1,8 +1,8 @@
 (* Regenerates every table and figure of the paper, the ablations of
    DESIGN.md, and finishes with bechamel micro-benchmarks of the core
    machinery.  `dune exec bench/main.exe` prints everything; pass
-   `--quick` to skip the two slowest sections (full Table II and the
-   attack comparison). *)
+   `--quick` to skip the slowest section, the attack comparison.  Tables
+   I and II always run in full (together about a second). *)
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -13,10 +13,7 @@ let tables () =
   section "Table I — available flip-flops for GK encryption";
   print_string (Report.table1 (Experiments.table1 ()));
   section "Table II — cell/area overhead of GK encryption";
-  if quick then
-    print_string
-      (Report.table2 [ Experiments.table2_row (List.nth Benchmarks.specs 1) ])
-  else print_string (Report.table2 (Experiments.table2 ()));
+  print_string (Report.table2 (Experiments.table2 ()));
   section "SAT attack on GK-encrypted benchmarks (Sec. VI)";
   print_string (Report.sat_attack (Experiments.sat_attack_table ()));
   if not quick then begin

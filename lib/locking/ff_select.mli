@@ -2,9 +2,11 @@
     heuristic of Karmakar et al. [4], producing Table I's last column.
 
     The algorithm groups flip-flops by the set of primary outputs their Q
-    pins (transitively) fan out to; encrypting flip-flops drawn from one
-    group whose cone covers many outputs makes the locked state bits
-    mutually indistinguishable to a scan-chain observer. *)
+    pins reach combinationally, stopping at flip-flop D pins
+    ({!Topo.group_ffs_by_cone}, O(nodes × ⌈POs/63⌉)); encrypting
+    flip-flops drawn from one group whose cone covers many outputs makes
+    the locked state bits mutually indistinguishable to a scan-chain
+    observer. *)
 
 (** [groups net ~among] buckets the flip-flops in [among] by primary-output
     cone signature, largest bucket first. *)

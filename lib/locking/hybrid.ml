@@ -44,8 +44,9 @@ let lock ?(seed = 1) ?(profile = `Standard) ?(l_glitch_ps = 1000) net ~clock_ps
   in
   let wires = Locked.pick_distinct rng n_xors cone_wires in
   let xor_locked = Xor_lock.lock_on ~seed ~name_prefix:"hxk" net ~wires in
-  (* Now place the GKs on the XOR-locked netlist, pinning the same FFs by
-     name through a fresh site computation. *)
+  (* Now place the GKs on the XOR-locked netlist.  [Insertion.lock] picks
+     its flip-flops afresh there, so they need not be [gk_ffs]: see the
+     known deviation in hybrid.mli. *)
   let design =
     Insertion.lock ~seed ~profile ~l_glitch_ps ~prefer_ff4_groups:true
       xor_locked.Locked.net ~clock_ps ~n_gks

@@ -61,6 +61,11 @@ let available_sites net ~clock_ps ~l_glitch_ps =
 
 let lock ?(seed = 1) ?(profile = `Standard) ?(l_glitch_ps = 1000)
     ?(prefer_ff4_groups = true) ?(exclude = []) net ~clock_ps ~n_gks =
+  Obs.Trace.with_span
+    ~args:
+      [ ("netlist", Cjson.Str (Netlist.name net)); ("n_gks", Cjson.Int n_gks) ]
+    "locking.insert"
+  @@ fun () ->
   let sites =
     List.filter
       (fun s -> not (List.mem s.si_ff exclude))

@@ -33,6 +33,9 @@ let pick_stage rng depth =
   1 + min a b
 
 let generate cfg =
+  Obs.Trace.with_span ~args:[ ("netlist", Cjson.Str cfg.gen_name) ]
+    "netlist.generate"
+  @@ fun () ->
   if cfg.n_pi < 1 || cfg.n_gates < 1 || cfg.depth < 1 then
     invalid_arg "Generator.generate: need at least one input, gate and stage";
   let rng = Random.State.make [| cfg.seed; 0x6b67 |] in
@@ -162,6 +165,18 @@ let generate cfg =
       (Netlist.outputs net)
   in
   recount ();
+  (* Widenable gates per stage: a fanout-free gate draws among the deeper
+     stages' total and walks to its pick, in stage order.  Widening only
+     ever removes a gate from the set (at 4 fanins). *)
+  let n_widenable =
+    Array.map (fun ids -> List.length (List.filter widenable ids)) by_stage
+  in
+  let rec nth_widenable r = function
+    | [] -> assert false
+    | id :: rest when widenable id ->
+      if r = 0 then id else nth_widenable (r - 1) rest
+    | _ :: rest -> nth_widenable r rest
+  in
   for s = cfg.depth downto 1 do
     List.iter
       (fun id ->
@@ -169,20 +184,28 @@ let generate cfg =
           (* Only strictly deeper consumers are safe: two same-stage dead
              gates could otherwise adopt each other and form a cycle.
              Deep-end gates with no consumer left become extra POs. *)
-          let candidates =
-            List.concat_map
-              (fun s' -> List.filter widenable by_stage.(s'))
-              (List.init (cfg.depth - s) (fun k -> s + 1 + k))
-          in
-          match candidates with
-          | [] ->
+          let total = ref 0 in
+          for s' = s + 1 to cfg.depth do
+            total := !total + n_widenable.(s')
+          done;
+          if !total = 0 then begin
             incr extra_pos;
-            Netlist.add_output net (Printf.sprintf "pox%d" !extra_pos) id;
-            fanout_count.(id) <- 1
-          | cs ->
-            let c = List.nth cs (Random.State.int rng (List.length cs)) in
+            Netlist.add_output net (Printf.sprintf "pox%d" !extra_pos) id
+          end
+          else begin
+            (* the r-th widenable gate of stages s+1..depth, in stage
+               order and [by_stage] order within a stage *)
+            let r = ref (Random.State.int rng !total) and s' = ref (s + 1) in
+            while !r >= n_widenable.(!s') do
+              r := !r - n_widenable.(!s');
+              incr s'
+            done;
+            let c = nth_widenable !r by_stage.(!s') in
             Netlist.widen_gate net ~node_id:c ~extra_driver:id;
-            fanout_count.(id) <- 1
+            if not (widenable c) then
+              n_widenable.(!s') <- n_widenable.(!s') - 1
+          end;
+          fanout_count.(id) <- 1
         end)
       by_stage.(s)
   done;

@@ -58,15 +58,86 @@ let fanin_cone t id =
   Hashtbl.fold (fun id () acc -> id :: acc) seen []
   |> List.sort compare
 
+(* One reverse pass over the combinational order.  [reach] holds, per node,
+   a bitset of the primary outputs it reaches combinationally ([w] words of
+   [Sys.int_size] bits each): the POs it drives plus the sets of its
+   Gate/Lut consumers, which the reverse order has already finished.  A
+   flip-flop's set is its own PO bits plus its combinational consumers'
+   sets -- exactly {!comb_output_cone}, for all flip-flops in
+   O(edges x w). *)
 let group_ffs_by_cone t =
-  let buckets = Hashtbl.create 16 in
+  Obs.Trace.with_span ~args:[ ("netlist", Cjson.Str (Netlist.name t)) ]
+    "topo.ff_groups"
+  @@ fun () ->
+  let pos = Array.of_list (Netlist.outputs t) in
+  let bits = Sys.int_size in
+  let w = (Array.length pos + bits - 1) / bits in
+  let reach = Array.make (Netlist.num_nodes t * w) 0 in
+  let word j = j / bits and bit j = 1 lsl (j mod bits) in
+  Array.iteri
+    (fun j (_, d) ->
+      let k = (d * w) + word j in
+      reach.(k) <- reach.(k) lor bit j)
+    pos;
+  let fanouts = Netlist.fanout_table t in
+  let absorb id =
+    List.iter
+      (fun (c, _pin) ->
+        if Netlist.is_comb (Netlist.node t c) then
+          for k = 0 to w - 1 do
+            reach.((id * w) + k) <- reach.((id * w) + k) lor reach.((c * w) + k)
+          done)
+      fanouts.(id)
+  in
+  let topo = Netlist.comb_topo_array t in
+  for i = Array.length topo - 1 downto 0 do
+    absorb topo.(i)
+  done;
+  (* (name, word, bit) of every PO, sorted by name, so each signature
+     comes out already sorted *)
+  let by_name = Array.mapi (fun j (name, _) -> (name, word j, bit j)) pos in
+  Array.sort (fun (a, _, _) (b, _, _) -> String.compare a b) by_name;
+  (* [buckets] maps a signature to its members, newest first, and gets
+     its keys in the order their first flip-flop appears, so it folds
+     exactly like a table updated once per flip-flop.  [by_set] hands
+     flip-flops with the same set the same member list, so each distinct
+     set builds and hashes its signature string once. *)
+  let buckets = Hashtbl.create 16 and by_set = Hashtbl.create 64 in
+  let buf = Buffer.create 256 in
+  let signature set =
+    Buffer.clear buf;
+    let first = ref true in
+    Array.iter
+      (fun (name, k, b) ->
+        if set.(k) land b <> 0 then begin
+          if not !first then Buffer.add_char buf '\x00';
+          first := false;
+          Buffer.add_string buf name
+        end)
+      by_name;
+    Buffer.contents buf
+  in
+  let members set =
+    match Hashtbl.find_opt by_set set with
+    | Some m -> m
+    | None ->
+      let signature = signature set in
+      let m =
+        match Hashtbl.find_opt buckets signature with
+        | Some m -> m
+        | None ->
+          let m = ref [] in
+          Hashtbl.add buckets signature m;
+          m
+      in
+      Hashtbl.add by_set set m;
+      m
+  in
   List.iter
     (fun ff ->
-      let signature =
-        String.concat "\x00" (List.sort compare (comb_output_cone t ff))
-      in
-      let existing = Option.value (Hashtbl.find_opt buckets signature) ~default:[] in
-      Hashtbl.replace buckets signature (ff :: existing))
+      absorb ff;
+      let m = members (Array.sub reach (ff * w) w) in
+      m := ff :: !m)
     (Netlist.ffs t);
-  Hashtbl.fold (fun _ ffs acc -> List.rev ffs :: acc) buckets []
+  Hashtbl.fold (fun _ m acc -> List.rev !m :: acc) buckets []
   |> List.sort (fun a b -> compare (List.length b) (List.length a))

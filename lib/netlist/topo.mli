@@ -29,6 +29,10 @@ val comb_output_cone : Netlist.t -> int -> string list
     fanin of [id], including [id] itself, stopping at sources. *)
 val fanin_cone : Netlist.t -> int -> int list
 
-(** [group_ffs_by_cone t] buckets flip-flop ids by their {!output_cone}
-    signature, largest bucket first — the FF grouping of [4]. *)
+(** [group_ffs_by_cone t] buckets flip-flop ids by their
+    {!comb_output_cone} signature — the primary outputs each flip-flop's Q
+    reaches combinationally, without crossing another flip-flop — largest
+    bucket first: the FF grouping of [4].  Members keep {!Netlist.ffs}
+    order.  One reverse pass over {!Netlist.comb_topo_array} with a
+    per-node bitset of reached outputs: O(nodes × ⌈POs/63⌉). *)
 val group_ffs_by_cone : Netlist.t -> int list list

@@ -196,6 +196,76 @@ let test_full_pipeline () =
     (cells' >= cells
     && cells' <= cells + List.length (Netlist.outputs d.Insertion.lnet))
 
+(* ----- Golden output -----
+
+   Digests of the generated netlists and of the rendered Tables I/II,
+   recorded before the one-pass FF grouping and the linear generator
+   liveness pass replaced their quadratic predecessors.  Any change to a
+   netlist byte or a table cell shows up here. *)
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let golden_specs =
+  [
+    ("s1238", "bf56144de032fd58dbce37badb69c15f");
+    ("s5378", "f3b36c0328f6ad73561d5ed991e2e75f");
+    ("s9234", "1345608cab9cf67a8c5e44db5c280052");
+    ("s13207", "40f0f4b8f09e60c2ebf132637f0aa19b");
+    ("s15850", "7bd7633929ddb320a22e2aba26e79e42");
+    ("s38417", "33b357c36756f29c7aaed1fe6f3d5109");
+    ("s38584", "512249588ec622fa158c786527615d29");
+  ]
+
+(* (seed, n_pi, n_po, n_ff, n_gates, depth, ff_depth_bias) *)
+let golden_configs =
+  [
+    ((1, 4, 3, 5, 30, 4, 0.3), "245fd43c32b12a111e1e8132f92310e5");
+    ((2, 8, 70, 12, 120, 6, 0.5), "041859fd285104489d91502a44bd9c4d");
+    ((3, 16, 130, 40, 400, 9, 0.2), "d49c868ff50b694ed40318e3ede345a1");
+    ((4, 2, 1, 0, 10, 1, 0.0), "9ec87093eccde987d3c3f2a246774f2f");
+    ((5, 5, 64, 64, 200, 12, 0.8), "eeb112aac253f0b3581cb214572ef4eb");
+    ((6, 3, 2, 1, 15, 2, 1.0), "d0ed9637c3ca6ec9055f5b4bf3bc275e");
+    ((7, 10, 20, 20, 300, 20, 0.4), "e08a034dc384aac7bba222afeb570ffd");
+    ((8, 1, 63, 3, 50, 3, 0.6), "936d153c6e3063f21dcfbecafe6fb858");
+    ((9, 6, 6, 100, 500, 15, 0.1), "b5f5561e055f84bfd784a853d51feb3a");
+    ((10, 12, 127, 30, 250, 8, 0.7), "bb9552ef8f0a891f708e6cb1eabbaccf");
+  ]
+
+let test_golden_netlists () =
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name want
+        (digest (Bench_format.print (Benchmarks.by_name name))))
+    golden_specs;
+  Alcotest.(check string) "tiny" "cdac20f7c984636eee92d41f89ad73bf"
+    (digest (Bench_format.print (Benchmarks.tiny ())));
+  List.iter
+    (fun ((seed, n_pi, n_po, n_ff, n_gates, depth, ff_depth_bias), want) ->
+      let net =
+        Generator.generate
+          {
+            Generator.gen_name = Printf.sprintf "gold%d" seed;
+            seed;
+            n_pi;
+            n_po;
+            n_ff;
+            n_gates;
+            depth;
+            ff_depth_bias;
+          }
+      in
+      Alcotest.(check string) (Printf.sprintf "config seed %d" seed) want
+        (digest (Bench_format.print net)))
+    golden_configs
+
+let test_golden_tables () =
+  Alcotest.(check string) "Table I" "38313364ef5e7239dd9e0d510b2f3534"
+    (digest (Report.table1 (Experiments.table1 ())));
+  Alcotest.(check string) "Table II" "fa9c20cc04e0bf55d768b0a733bad4c4"
+    (digest (Report.table2 (Experiments.table2 ())));
+  Alcotest.(check string) "Table II buffers" "5ddd5beadf8e112a7cd2cddca7db7028"
+    (digest (Report.table2 (Experiments.table2 ~profile:`Buffers_only ())))
+
 let suites =
   [
     ( "integration.tables",
@@ -204,6 +274,11 @@ let suites =
         tc "table1 full" `Slow test_table1_full;
         tc "table2 s5378 shape" `Slow test_table2_s5378;
         tc "sat-attack row" `Slow test_sat_attack_row;
+      ] );
+    ( "integration.golden",
+      [
+        tc "generated netlists" `Quick test_golden_netlists;
+        tc "tables I/II" `Slow test_golden_tables;
       ] );
     ( "integration.figures",
       [

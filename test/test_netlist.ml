@@ -383,6 +383,87 @@ let test_topo_ff_groups () =
   let total = List.fold_left (fun a g -> a + List.length g) 0 groups in
   Alcotest.(check int) "all ffs grouped" 3 total
 
+(* Per-flip-flop BFS grouping, kept as the reference the one-pass bitset
+   [Topo.group_ffs_by_cone] must reproduce exactly: same groups, same
+   members order, same order of equal-size groups. *)
+let reference_ff_groups t =
+  let buckets = Hashtbl.create 16 in
+  List.iter
+    (fun ff ->
+      let signature =
+        String.concat "\x00" (List.sort compare (Topo.comb_output_cone t ff))
+      in
+      let existing = Option.value (Hashtbl.find_opt buckets signature) ~default:[] in
+      Hashtbl.replace buckets signature (ff :: existing))
+    (Netlist.ffs t);
+  Hashtbl.fold (fun _ ffs acc -> List.rev ffs :: acc) buckets []
+  |> List.sort (fun a b -> compare (List.length b) (List.length a))
+
+let check_ff_groups label net =
+  Alcotest.(check (list (list int)))
+    label (reference_ff_groups net) (Topo.group_ffs_by_cone net)
+
+(* Every benchmark, plain, GK-locked (up to 8 GKs), KEYGEN-stripped,
+   XOR-locked and Hybrid-locked. *)
+let test_topo_ff_groups_parity () =
+  let benches =
+    List.map
+      (fun spec ->
+        (spec.Benchmarks.bname, Benchmarks.load spec, spec.Benchmarks.clk_margin))
+      Benchmarks.specs
+    @ [ ("s27", Benchmarks.s27 (), 4.5); ("tiny", Benchmarks.tiny (), 4.5) ]
+  in
+  List.iter
+    (fun (name, net, margin) ->
+      check_ff_groups name net;
+      let clock_ps = Sta.clock_for net ~margin in
+      let n_sites =
+        List.length (Insertion.available_sites net ~clock_ps ~l_glitch_ps:1000)
+      in
+      let n_gks = min 8 n_sites in
+      if n_gks > 0 then begin
+        let d = Insertion.lock ~seed:5 net ~clock_ps ~n_gks in
+        check_ff_groups (name ^ " gk-locked") d.Insertion.lnet;
+        check_ff_groups (name ^ " stripped") (fst (Insertion.strip_keygens d));
+        match Hybrid.lock ~seed:5 net ~clock_ps ~n_gks ~n_xors:16 with
+        | h -> check_ff_groups (name ^ " hybrid") h.Hybrid.design.Insertion.lnet
+        | exception Invalid_argument _ -> ()
+      end;
+      check_ff_groups (name ^ " xor-locked")
+        (Xor_lock.lock ~seed:5 net ~n_keys:8).Locked.net)
+    benches
+
+(* Random generated circuits, widened so the bitsets span several words
+   ([n_po] up to 150), plus a PO driven straight by a flip-flop, a second
+   PO sharing a driver, and a [Dead] slot left by bypassing one gate. *)
+let ff_groups_parity_law (seed, n_po) =
+  let net =
+    Generator.generate
+      {
+        Generator.gen_name = Printf.sprintf "grp%d" seed;
+        seed;
+        n_pi = 3 + (seed mod 5);
+        n_po;
+        n_ff = 1 + (seed mod 20);
+        n_gates = 40 + (seed mod 200);
+        depth = 2 + (seed mod 9);
+        ff_depth_bias = float_of_int (seed mod 10) /. 10.0;
+      }
+  in
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  Netlist.add_output net "po_ff" (pick (Netlist.ffs net));
+  Netlist.add_output net "po_shared" (snd (pick (Netlist.outputs net)));
+  let gates =
+    List.filter
+      (fun id -> Netlist.is_comb (Netlist.node net id))
+      (List.init (Netlist.num_nodes net) Fun.id)
+  in
+  let g = pick gates in
+  Netlist.replace_uses net ~old_id:g ~new_id:(Netlist.node net g).Netlist.fanins.(0);
+  Netlist.kill net g;
+  Topo.group_ffs_by_cone net = reference_ff_groups net
+
 (* ----- Stats ----- *)
 
 let test_stats_overhead () =
@@ -497,6 +578,10 @@ let suites =
         tc "levels/depth" `Quick test_topo_levels_depth;
         tc "cones" `Quick test_topo_cones;
         tc "ff groups" `Quick test_topo_ff_groups;
+        tc "ff groups match per-FF BFS" `Slow test_topo_ff_groups_parity;
+        qcheck ~count:60 "ff groups match per-FF BFS (generated)"
+          QCheck.(pair (int_bound 100_000) (int_range 1 150))
+          ff_groups_parity_law;
       ] );
     ("netlist.stats", [ tc "overhead" `Quick test_stats_overhead ]);
     ( "netlist.combinationalize",

@@ -174,6 +174,54 @@ let test_trace_attack_iteration_spans () =
     (count_lines_with path [ {|"attack.run"|}; {|"ph":"B"|} ]);
   Sys.remove path
 
+(* [(name, parent)] for every span "B" record of a single-domain trace,
+   in file order; the parent is the innermost span open at that point. *)
+let span_parents path =
+  let stack = ref [] and acc = ref [] in
+  let ic = open_in path in
+  (try
+     while true do
+       match Cjson.of_string (input_line ic) with
+       | Ok j -> (
+         let field k = Option.bind (Cjson.member k j) Cjson.to_str in
+         match (field "name", field "ph") with
+         | Some name, Some "B" ->
+           acc := (name, match !stack with p :: _ -> p | [] -> "") :: !acc;
+           stack := name :: !stack
+         | Some _, Some "E" -> stack := List.tl !stack
+         | _ -> ())
+       | Error e -> Alcotest.fail ("unparseable trace line: " ^ e)
+     done
+   with End_of_file -> ());
+  close_in ic;
+  List.rev !acc
+
+let test_trace_table_spans () =
+  (* the spans that attribute Table I/II job time: generation, FF
+     grouping (inside GK insertion and on its own) under a caller span *)
+  let path = tmp_file ".jsonl" in
+  Obs.Trace.enable ~file:path ();
+  Obs.Trace.with_span "job" (fun () ->
+      let net = Benchmarks.tiny () in
+      let clock_ps = Sta.clock_for net ~margin:4.5 in
+      ignore (Insertion.lock ~seed:3 net ~clock_ps ~n_gks:2);
+      ignore (Topo.group_ffs_by_cone net));
+  Obs.Trace.disable ();
+  (match Obs.Trace.validate_file path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("trace should validate: " ^ e));
+  let parents = span_parents path in
+  let has name parent = List.mem (name, parent) parents in
+  Alcotest.(check bool) "netlist.generate under job" true
+    (has "netlist.generate" "job");
+  Alcotest.(check bool) "locking.insert under job" true
+    (has "locking.insert" "job");
+  Alcotest.(check bool) "topo.ff_groups under locking.insert" true
+    (has "topo.ff_groups" "locking.insert");
+  Alcotest.(check bool) "topo.ff_groups under job" true
+    (has "topo.ff_groups" "job");
+  Sys.remove path
+
 (* ----- Budget: zero/expired deadline (regression) ----- *)
 
 let test_budget_zero_deadline_structured () =
@@ -347,6 +395,7 @@ let suites =
         tc "span closed on raise" `Quick test_trace_span_closed_on_raise;
         tc "validator rejects bad files" `Quick test_trace_validator_rejects;
         tc "attack iteration spans" `Quick test_trace_attack_iteration_spans;
+        tc "table job spans nest" `Quick test_trace_table_spans;
       ] );
     ( "obs.regressions",
       [
