@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test tables-comparison bench bench-quick bench-eval bench-attacks bench-eval-smoke bench-attacks-smoke bench-smoke bench-load fuzz fuzz-smoke opt-smoke systest store-smoke load-smoke gate check examples clean
+.PHONY: all build test tables-comparison bench bench-quick bench-eval bench-attacks bench-eval-smoke bench-attacks-smoke bench-smoke bench-load perfbench-smoke fuzz fuzz-smoke opt-smoke systest store-smoke load-smoke gate check examples clean
 
 all: build
 
@@ -48,6 +48,16 @@ bench-smoke: bench-eval-smoke bench-attacks-smoke
 # transport x mode row; run on the reference machine only).
 bench-load: build
 	dune exec bin/systest_main.exe -- load --out BENCH_load.json
+
+# The benchmark's two guarded workloads (perfbench/, BENCHMARK.json) with
+# a 1 s measuring window each: builds and runs them, prints their
+# figures, and fails unless the combined result line, the last one,
+# reports "correct": true.
+perfbench-smoke:
+	@out=$$(python3 perfbench/run.py --workload campaign,oracle_service --seconds 1) \
+	  || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct": true'
 
 # Differential fuzzing: engine vs reference vs timing sim vs SAT/BDD,
 # plus locking-scheme metamorphic properties.  Failures shrink to

@@ -52,6 +52,63 @@ let lift_metrics payload =
       | None -> None)
     [ "iterations"; "dips"; "mismatches"; "conflicts" ]
 
+(* ----- scheduler wake-ups -----
+
+   A worker writes one byte to a self-pipe after publishing its outcome,
+   and the scheduler waits on the pipe in [select], so it reacts to a
+   finished job at once instead of on a polling tick.  A full pipe
+   (EAGAIN) means a wake-up is already pending.  A domain abandoned past
+   its timeout may finish after the run returns; [wk_closed], under the
+   mutex, keeps it from writing to a closed (and possibly reused) fd. *)
+
+type wake = {
+  wk_r : Unix.file_descr;
+  wk_w : Unix.file_descr;
+  wk_mu : Mutex.t;
+  mutable wk_closed : bool;
+}
+
+let wake_byte = Bytes.make 1 '!'
+
+let wake_create () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
+  { wk_r = r; wk_w = w; wk_mu = Mutex.create (); wk_closed = false }
+
+let wake_signal wk =
+  Mutex.protect wk.wk_mu (fun () ->
+      if not wk.wk_closed then
+        try ignore (Unix.single_write wk.wk_w wake_byte 0 1)
+        with Unix.Unix_error _ -> ())
+
+let wake_close wk =
+  Mutex.protect wk.wk_mu (fun () ->
+      if not wk.wk_closed then begin
+        wk.wk_closed <- true;
+        Unix.close wk.wk_r;
+        Unix.close wk.wk_w
+      end)
+
+(* Block until a worker's byte arrives or [timeout] seconds pass, then
+   drain the pipe.  An interrupted or failed [select] only costs an early
+   re-check. *)
+let wake_await wk timeout =
+  (try ignore (Unix.select [ wk.wk_r ] [] [] (Float.max 0.0 timeout))
+   with Unix.Unix_error _ -> ());
+  let buf = Bytes.create 64 in
+  let rec drain () =
+    match Unix.read wk.wk_r buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> drain ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+    | exception Unix.Unix_error _ -> ()  (* EAGAIN: drained *)
+  in
+  drain ()
+
+(* Longest wait between two [should_abort] polls while jobs run. *)
+let abort_check_s = 0.05
+
 let run ~store ?(telemetry = Telemetry.null ()) ?(should_abort = fun () -> false)
     config ~jobs ~exec =
   if config.workers < 1 then
@@ -82,6 +139,8 @@ let run ~store ?(telemetry = Telemetry.null ()) ?(should_abort = fun () -> false
   let timed_out = ref 0 and retries = ref 0 and abandoned = ref 0 in
   let aborted = ref false in
   let in_flight = ref [] in
+  let wake = wake_create () in
+  Fun.protect ~finally:(fun () -> wake_close wake) @@ fun () ->
   let spawn ((job : Campaign_job.t), attempt) =
     let cell = Atomic.make None in
     let dom =
@@ -104,7 +163,8 @@ let run ~store ?(telemetry = Telemetry.null ()) ?(should_abort = fun () -> false
             | exception Transient msg -> W_transient msg
             | exception e -> W_exn (Printexc.to_string e)
           in
-          Atomic.set cell (Some r))
+          Atomic.set cell (Some r);
+          wake_signal wake)
     in
     Telemetry.emit telemetry ~job:job.Campaign_job.id ~attempt ~event:"started"
       [];
@@ -181,6 +241,32 @@ let run ~store ?(telemetry = Telemetry.null ()) ?(should_abort = fun () -> false
       Telemetry.emit telemetry ~job ~attempt:sl.sl_attempt ~wall_s
         ~event:"aborted" []
   in
+  let expire sl =
+    (* The domain cannot be killed; leave it running detached and record
+       the job as timed out. *)
+    incr abandoned;
+    incr timed_out;
+    Obs.Metrics.incr m_jobs_timed_out;
+    Obs.Trace.instant
+      ~args:
+        [
+          ("job", Cjson.Str sl.sl_job.Campaign_job.id);
+          ("attempt", Cjson.Int sl.sl_attempt);
+          ("timeout_s", Cjson.Float config.timeout_s);
+        ]
+      "campaign.timeout";
+    record sl
+      (Job_store.Failed
+         {
+           kind = Job_store.Timeout;
+           message = Printf.sprintf "timed out after %.1fs" config.timeout_s;
+           attempts = sl.sl_attempt;
+         });
+    Telemetry.emit telemetry ~job:sl.sl_job.Campaign_job.id
+      ~attempt:sl.sl_attempt
+      ~wall_s:(now () -. sl.sl_started)
+      ~event:"timeout" []
+  in
   while (not (Queue.is_empty pending)) || !in_flight <> [] do
     (* the cooperative abort (a SIGINT handler's flag): stop dispatching,
        let in-flight jobs drain and checkpoint, report aborted — same
@@ -191,6 +277,33 @@ let run ~store ?(telemetry = Telemetry.null ()) ?(should_abort = fun () -> false
       Obs.Trace.instant "campaign.abort_requested";
       Telemetry.emit telemetry ~job:"-" ~event:"abort_requested" []
     end;
+    (* Reap finished and expired slots first, and refill the freed slots
+       before recording them: the store's appends fsync, and a worker
+       should not idle behind them. *)
+    let finished =
+      List.filter_map
+        (fun sl ->
+          match Atomic.get sl.sl_cell with
+          | Some r ->
+            Domain.join sl.sl_domain;
+            Some (sl, r)
+          | None -> None)
+        !in_flight
+    in
+    let t = now () in
+    let expired =
+      List.filter
+        (fun sl -> Option.is_none (Atomic.get sl.sl_cell) && t > sl.sl_deadline)
+        !in_flight
+    in
+    let reaped = List.map fst finished @ expired in
+    in_flight := List.filter (fun sl -> not (List.memq sl reaped)) !in_flight;
+    (* an executor's Abort must stop dispatch before the refill *)
+    let aborts, done_ =
+      List.partition (fun (_, r) -> match r with W_abort -> true | _ -> false)
+        finished
+    in
+    List.iter (fun (sl, r) -> handle sl r) aborts;
     if !aborted then Queue.clear pending;
     while
       (not !aborted)
@@ -199,49 +312,13 @@ let run ~store ?(telemetry = Telemetry.null ()) ?(should_abort = fun () -> false
     do
       in_flight := spawn (Queue.pop pending) :: !in_flight
     done;
-    let progressed = ref false in
-    in_flight :=
-      List.filter
-        (fun sl ->
-          match Atomic.get sl.sl_cell with
-          | Some r ->
-            progressed := true;
-            Domain.join sl.sl_domain;
-            handle sl r;
-            false
-          | None ->
-            if now () > sl.sl_deadline then begin
-              (* The domain cannot be killed; leave it running detached
-                 and record the job as timed out. *)
-              progressed := true;
-              incr abandoned;
-              incr timed_out;
-              Obs.Metrics.incr m_jobs_timed_out;
-              Obs.Trace.instant
-                ~args:
-                  [
-                    ("job", Cjson.Str sl.sl_job.Campaign_job.id);
-                    ("attempt", Cjson.Int sl.sl_attempt);
-                    ("timeout_s", Cjson.Float config.timeout_s);
-                  ]
-                "campaign.timeout";
-              record sl
-                (Job_store.Failed
-                   {
-                     kind = Job_store.Timeout;
-                     message =
-                       Printf.sprintf "timed out after %.1fs" config.timeout_s;
-                     attempts = sl.sl_attempt;
-                   });
-              Telemetry.emit telemetry ~job:sl.sl_job.Campaign_job.id
-                ~attempt:sl.sl_attempt
-                ~wall_s:(now () -. sl.sl_started)
-                ~event:"timeout" [];
-              false
-            end
-            else true)
-        !in_flight;
-    if not !progressed then Unix.sleepf 0.002
+    List.iter (fun (sl, r) -> handle sl r) done_;
+    List.iter expire expired;
+    if reaped = [] && !in_flight <> [] then
+      let nearest =
+        List.fold_left (fun d sl -> Float.min d sl.sl_deadline) infinity !in_flight
+      in
+      wake_await wake (Float.min abort_check_s (nearest -. now ()))
   done;
   {
     ran = !ran;

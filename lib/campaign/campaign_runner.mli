@@ -4,7 +4,11 @@
     results computed by a sibling campaign in the shared store are
     adopted; the rest are
     dispatched to up to [workers] concurrent OCaml 5 domains, one domain
-    per job execution.  The scheduler polls the in-flight slots:
+    per job execution.  A worker wakes the scheduler through a self-pipe
+    when it finishes, and the scheduler waits on that pipe no longer than
+    the nearest in-flight deadline or 50 ms (the {!run} [should_abort]
+    poll).  It refills the freed slots first, then records the finished
+    jobs:
 
     - a finished job is recorded in the store as [Done] (payload) or
       [Failed] ([Exception] with the printed exception);
@@ -54,10 +58,10 @@ type stats = {
 
 (** [run ~store ?telemetry ?should_abort config ~jobs ~exec] drives the
     pool until every job has an outcome (or {!Abort}).  [should_abort]
-    is polled by the scheduler between dispatches; once it returns true
-    the run behaves as if an executor raised {!Abort} — no new jobs
-    start, in-flight jobs drain and checkpoint normally, and the stats
-    report [aborted = true].  This is how `gklock campaign run` turns a
+    is polled by the scheduler at least every 50 ms while jobs run; once
+    it returns true the run behaves as if an executor raised {!Abort} —
+    no new jobs start, in-flight jobs drain and checkpoint normally, and
+    the stats report [aborted = true].  This is how `gklock campaign run` turns a
     SIGINT into a graceful, resumable stop: the handler only flips a
     flag, the scheduler does the shutdown at a safe point.
     @raise Invalid_argument on [workers < 1] or [max_retries < 0]. *)

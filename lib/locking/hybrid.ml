@@ -24,13 +24,10 @@ let lock ?(seed = 1) ?(profile = `Standard) ?(l_glitch_ps = 1000) net ~clock_ps
      window. *)
   let levels = Topo.levels net in
   let cone_wires =
-    List.concat_map
-      (fun ff ->
-        Topo.fanin_cone net (Netlist.node net ff).Netlist.fanins.(0)
-        |> List.filter (fun id ->
-               Netlist.is_comb (Netlist.node net id) && levels.(id) <= 3))
-      gk_ffs
-    |> List.sort_uniq compare
+    Topo.fanin_cones net
+      (List.map (fun ff -> (Netlist.node net ff).Netlist.fanins.(0)) gk_ffs)
+    |> List.filter (fun id ->
+           Netlist.is_comb (Netlist.node net id) && levels.(id) <= 3)
   in
   let cone_wires =
     if List.length cone_wires >= n_xors then cone_wires

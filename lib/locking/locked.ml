@@ -26,35 +26,56 @@ let with_key_fixed t key =
     t.key_inputs;
   net
 
-let splice_all_fanouts net ~target ~build =
-  let fanouts = (Netlist.fanout_table net).(target) in
-  let pos =
-    List.filter_map
-      (fun (po, d) -> if d = target then Some po else None)
-      (Netlist.outputs net)
-  in
-  (* When the target node carries a primary-output name, the splice
-     would leave OUTPUT(po) driven by the new gate while a node named
-     [po] still exists — two definitions of the same wire once printed
-     as .bench.  Move the target to a fresh internal name first. *)
-  let tname = (Netlist.node net target).Netlist.name in
-  if List.mem tname pos then begin
-    let rec fresh i =
-      let n = Printf.sprintf "%s_pre%s" tname
-          (if i = 0 then "" else string_of_int i) in
-      match Netlist.rename net target n with
-      | () -> ()
-      | exception Invalid_argument _ -> fresh (i + 1)
+(* The fanout table is read once, when the splicer is made.  A later
+   splice cannot change an earlier-existing node's consumers except its
+   own target's, whose consumers become the nodes [build] made that read
+   it; [moved] keeps those. *)
+let splicer net =
+  let table = Netlist.fanout_table net in
+  let moved = Hashtbl.create 16 in
+  fun ~target ~build ->
+    let fanouts =
+      match Hashtbl.find_opt moved target with
+      | Some fanouts -> fanouts
+      | None -> table.(target)
     in
-    fresh 0
-  end;
-  let g = build () in
-  List.iter
-    (fun (consumer, pin) ->
-      if consumer <> g then Netlist.set_fanin net ~node_id:consumer ~pin ~driver:g)
-    fanouts;
-  List.iter (fun po -> Netlist.set_output_driver net po g) pos;
-  g
+    let pos =
+      List.filter_map
+        (fun (po, d) -> if d = target then Some po else None)
+        (Netlist.outputs net)
+    in
+    (* When the target node carries a primary-output name, the splice
+       would leave OUTPUT(po) driven by the new gate while a node named
+       [po] still exists — two definitions of the same wire once printed
+       as .bench.  Move the target to a fresh internal name first. *)
+    let tname = (Netlist.node net target).Netlist.name in
+    if List.mem tname pos then begin
+      let rec fresh i =
+        let n = Printf.sprintf "%s_pre%s" tname
+            (if i = 0 then "" else string_of_int i) in
+        match Netlist.rename net target n with
+        | () -> ()
+        | exception Invalid_argument _ -> fresh (i + 1)
+      in
+      fresh 0
+    end;
+    let first_new = Netlist.num_nodes net in
+    let g = build () in
+    List.iter
+      (fun (consumer, pin) ->
+        if consumer <> g then Netlist.set_fanin net ~node_id:consumer ~pin ~driver:g)
+      fanouts;
+    List.iter (fun po -> Netlist.set_output_driver net po g) pos;
+    let readers = ref [] in
+    for id = first_new to Netlist.num_nodes net - 1 do
+      Array.iteri
+        (fun pin f -> if f = target then readers := (id, pin) :: !readers)
+        (Netlist.node net id).Netlist.fanins
+    done;
+    Hashtbl.replace moved target !readers;
+    g
+
+let splice_all_fanouts net ~target ~build = splicer net ~target ~build
 
 let gate_wires net =
   List.filter

@@ -1,6 +1,9 @@
 let lock_on ?(seed = 1) ?(name_prefix = "xk") net ~wires =
   let rng = Random.State.make [| seed; 0x584f |] in
   let net = Netlist.copy net in
+  (* one fanout table for the whole lock: a key-gate reads only its
+     target and its fresh key input *)
+  let splice = Locked.splicer net in
   let keyed =
     List.mapi
       (fun i target ->
@@ -10,7 +13,7 @@ let lock_on ?(seed = 1) ?(name_prefix = "xk") net ~wires =
         (* XNOR passes with bit=1, XOR with bit=0. *)
         let fn = if bit then Cell.Xnor else Cell.Xor in
         let _g =
-          Locked.splice_all_fanouts net ~target ~build:(fun () ->
+          splice ~target ~build:(fun () ->
               Netlist.add_gate net
                 ~name:(Printf.sprintf "%s%d_gate" name_prefix i)
                 fn [| target; k |])

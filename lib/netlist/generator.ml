@@ -53,11 +53,21 @@ let generate cfg =
         Vec.push sources id;
         id)
   in
-  (* by_stage.(0) = sources; by_stage.(s) = gates at stage s *)
-  let by_stage = Array.make (cfg.depth + 1) [] in
-  by_stage.(0) <- Vec.to_list sources;
-  let stage_counts = Array.make (cfg.depth + 1) 0 in
-  stage_counts.(0) <- Vec.length sources;
+  (* by_stage.(0) = sources; by_stage.(s) = gates at stage s.  A stage is
+     read newest-first: its r-th node is the r-th from the end of the
+     vector, so stage 0 holds the sources in reverse. *)
+  let by_stage = Array.init (cfg.depth + 1) (fun _ -> Vec.create ()) in
+  for i = Vec.length sources - 1 downto 0 do
+    Vec.push by_stage.(0) (Vec.get sources i)
+  done;
+  let size s = Vec.length by_stage.(s) in
+  let nth s r = Vec.get by_stage.(s) (size s - 1 - r) in
+  let pick rng s = nth s (Random.State.int rng (size s)) in
+  let iter_stage f s =
+    for r = 0 to size s - 1 do
+      f (nth s r)
+    done
+  in
   let pick_from_below rng stage =
     (* Prefer the immediately shallower stage so the depth target is
        actually reached; fall back to any shallower node. *)
@@ -65,9 +75,7 @@ let generate cfg =
       if stage > 1 && Random.State.int rng 100 < 82 then stage - 1
       else Random.State.int rng stage
     in
-    let s = if stage_counts.(s) = 0 then 0 else s in
-    let bucket = by_stage.(s) in
-    List.nth bucket (Random.State.int rng (List.length bucket))
+    pick rng (if size s = 0 then 0 else s)
   in
   let unused_sources = Queue.create () in
   Vec.iter (fun id -> Queue.push id unused_sources) sources;
@@ -108,23 +116,20 @@ let generate cfg =
     in
     if arity > 1 then dedup 0;
     let id = Netlist.add_gate net ~name:(Printf.sprintf "g%d" g) fn fanins in
-    by_stage.(stage) <- id :: by_stage.(stage);
-    stage_counts.(stage) <- stage_counts.(stage) + 1
+    Vec.push by_stage.(stage) id
   done;
   (* Sample a node at a stage drawn from [lo..hi] (clamped to non-empty). *)
   let sample_at_depth frac =
     let target = int_of_float (frac *. float_of_int cfg.depth) in
     let target = max 1 (min cfg.depth target) in
     let rec find s step =
-      if s >= 1 && s <= cfg.depth && stage_counts.(s) > 0 then s
+      if s >= 1 && s <= cfg.depth && size s > 0 then s
       else if step > cfg.depth then 0
       else
         let next = if step mod 2 = 0 then s + step else s - step in
         find next (step + 1)
     in
-    let s = find target 1 in
-    let bucket = by_stage.(s) in
-    List.nth bucket (Random.State.int rng (List.length bucket))
+    pick rng (find target 1)
   in
   (* Patch flip-flop D pins: depth of the sampled driver controls the FF's
      arrival time, hence its GK feasibility. *)
@@ -169,16 +174,16 @@ let generate cfg =
      stages' total and walks to its pick, in stage order.  Widening only
      ever removes a gate from the set (at 4 fanins). *)
   let n_widenable =
-    Array.map (fun ids -> List.length (List.filter widenable ids)) by_stage
+    Array.map (Vec.fold (fun n id -> if widenable id then n + 1 else n) 0) by_stage
   in
-  let rec nth_widenable r = function
-    | [] -> assert false
-    | id :: rest when widenable id ->
-      if r = 0 then id else nth_widenable (r - 1) rest
-    | _ :: rest -> nth_widenable r rest
+  let rec nth_widenable s r i =
+    let id = nth s i in
+    if not (widenable id) then nth_widenable s r (i + 1)
+    else if r = 0 then id
+    else nth_widenable s (r - 1) (i + 1)
   in
   for s = cfg.depth downto 1 do
-    List.iter
+    iter_stage
       (fun id ->
         if fanout_count.(id) = 0 then begin
           (* Only strictly deeper consumers are safe: two same-stage dead
@@ -194,20 +199,20 @@ let generate cfg =
           end
           else begin
             (* the r-th widenable gate of stages s+1..depth, in stage
-               order and [by_stage] order within a stage *)
+               order and newest-first within a stage *)
             let r = ref (Random.State.int rng !total) and s' = ref (s + 1) in
             while !r >= n_widenable.(!s') do
               r := !r - n_widenable.(!s');
               incr s'
             done;
-            let c = nth_widenable !r by_stage.(!s') in
+            let c = nth_widenable !s' !r 0 in
             Netlist.widen_gate net ~node_id:c ~extra_driver:id;
             if not (widenable c) then
               n_widenable.(!s') <- n_widenable.(!s') - 1
           end;
           fanout_count.(id) <- 1
         end)
-      by_stage.(s)
+      s
   done;
   Netlist.validate net;
   net

@@ -73,6 +73,7 @@ type caches = {
   mutable c_topo_arr : int array option;
   mutable c_levels : int array option;
   mutable c_fanout : (int * int) list array option;
+  mutable c_ff_groups : int list list option;
   mutable c_engine : engine option;
 }
 
@@ -103,6 +104,7 @@ let create net_name =
         c_topo_arr = None;
         c_levels = None;
         c_fanout = None;
+        c_ff_groups = None;
         c_engine = None;
       };
   }
@@ -135,6 +137,7 @@ let caches t =
     c.c_topo_arr <- None;
     c.c_levels <- None;
     c.c_fanout <- None;
+    c.c_ff_groups <- None;
     c.c_engine <- None
   end;
   c
@@ -318,8 +321,11 @@ let replace_uses t ~old_id ~new_id =
   Vec.iter (fun po -> if po.driver = old_id then po.driver <- new_id) t.pos;
   touch t
 
+(* Node records, fanin arrays and LUT tables are copied one by one; the
+   name table is copied whole instead of being rebuilt one insertion (and
+   one resize) at a time.  Dead nodes' names are already absent from it. *)
 let copy t =
-  let t' = create t.net_name in
+  let t' = { (create t.net_name) with by_name = Hashtbl.copy t.by_name } in
   Vec.iter
     (fun n ->
       let kind =
@@ -327,21 +333,12 @@ let copy t =
         | Lut truth -> Lut (Array.copy truth)
         | (Input | Const _ | Gate _ | Ff | Dead) as k -> k
       in
-      let id =
-        add_node t' ~name:n.name kind (Array.copy n.fanins) n.cell
-      in
-      assert (id = n.id);
       (match n.kind with
-      | Const false -> t'.const0 <- id
-      | Const true -> t'.const1 <- id
-      | Input | Gate _ | Lut _ | Ff | Dead -> ())
-      )
+      | Const false -> t'.const0 <- n.id
+      | Const true -> t'.const1 <- n.id
+      | Input | Gate _ | Lut _ | Ff | Dead -> ());
+      Vec.push t'.nodes { n with kind; fanins = Array.copy n.fanins })
     t.nodes;
-  (* Dead nodes keep a registered name in the copy; drop it to mirror the
-     original's table. *)
-  Vec.iter
-    (fun n -> if n.kind = Dead then Hashtbl.remove t'.by_name n.name)
-    t'.nodes;
   Vec.iter (fun po -> Vec.push t'.pos { po_name = po.po_name; driver = po.driver }) t.pos;
   t'
 
@@ -401,6 +398,12 @@ let fanout_table t =
       t.nodes;
     c.c_fanout <- Some table;
     table
+
+(* Topo.group_ffs_by_cone's slot: the grouping is computed in Topo, which
+   sits above this module, and only kept here. *)
+let cached_ff_groups t = (caches t).c_ff_groups
+
+let cache_ff_groups t groups = (caches t).c_ff_groups <- Some groups
 
 (* Topological order of combinational nodes: sources (inputs, constants,
    flip-flop Q pins) are not listed; every Gate/Lut appears after all of its

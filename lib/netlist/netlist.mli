@@ -120,7 +120,10 @@ val replace_uses : t -> old_id:int -> new_id:int -> unit
 
 (** {1 Whole-netlist operations} *)
 
-(** Deep copy (ids preserved). *)
+(** Deep copy (ids preserved, same node names, outputs and constants).
+    Shares no mutable state with the original; its caches start empty
+    and its {!generation} starts at 0.  O(nodes): the name table is
+    copied whole, not rebuilt. *)
 val copy : t -> t
 
 (** [compact t] is a fresh netlist without [Dead] slots.  Returns the new
@@ -135,16 +138,27 @@ val fanout_table : t -> (int * int) list array
 
 (** {1 Memoized analyses}
 
-    Structural analyses ({!comb_topo_order}, {!fanout_table}, {!levels})
-    and the compiled {!Engine} are cached inside the netlist record.  Every
-    mutation (adding nodes or outputs, rewiring fanins or output drivers,
+    Structural analyses ({!comb_topo_order}, {!fanout_table}, {!levels},
+    and {!Topo.group_ffs_by_cone}'s flip-flop grouping) and the compiled
+    {!Engine} are cached inside the netlist record.  Every mutation
+    (adding nodes or outputs, rewiring fanins or output drivers,
     renaming, killing) bumps a generation counter which lazily invalidates
     all caches, so repeated queries between mutations cost one array
-    read. *)
+    read.  The caches belong to one netlist value ({!copy} starts empty)
+    and are not domain-safe: a netlist shared between domains must not
+    be queried from two of them at once. *)
 
 (** [generation t] is the mutation counter; it increases on every
     structural change.  Snapshot it to detect staleness of derived data. *)
 val generation : t -> int
+
+(** The flip-flop grouping cached for [t]'s current {!generation}, if
+    any.  {!Topo.group_ffs_by_cone} is the only writer; call that. *)
+val cached_ff_groups : t -> int list list option
+
+(** [cache_ff_groups t groups] stores [groups] as the grouping of [t] at
+    its current {!generation}.  For {!Topo.group_ffs_by_cone} only. *)
+val cache_ff_groups : t -> int list list -> unit
 
 (** [levels t] is the combinational depth per node id: 0 for sources
     (inputs, constants, flip-flop Q pins), [1 + max fanin level] for

@@ -45,18 +45,32 @@ let output_cone t id = reach_outputs t ~cross_ff:true id
 
 let comb_output_cone t id = reach_outputs t ~cross_ff:false id
 
-let fanin_cone t id =
-  let seen = Hashtbl.create 64 in
-  let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.replace seen id ();
-      let nd = Netlist.node t id in
-      if Netlist.is_comb nd then Array.iter visit nd.fanins
+(* One marking pass from every root at once; the scan over the marks
+   yields the union in id order. *)
+let fanin_cones t roots =
+  let n = Netlist.num_nodes t in
+  let seen = Bytes.make n '\000' in
+  let stack = Stack.create () in
+  let visit id =
+    if Bytes.get seen id = '\000' then begin
+      Bytes.set seen id '\001';
+      Stack.push id stack
     end
   in
-  visit id;
-  Hashtbl.fold (fun id () acc -> id :: acc) seen []
-  |> List.sort compare
+  List.iter visit roots;
+  while not (Stack.is_empty stack) do
+    let nd = Netlist.node t (Stack.pop stack) in
+    if Netlist.is_comb nd then Array.iter visit nd.fanins
+  done;
+  let acc = ref [] in
+  for id = n - 1 downto 0 do
+    if Bytes.get seen id <> '\000' then acc := id :: !acc
+  done;
+  !acc
+
+let fanin_cone t id = fanin_cones t [ id ]
+
+let m_ff_groups_computed = Obs.Metrics.counter "topo.ff_groups_computed"
 
 (* One reverse pass over the combinational order.  [reach] holds, per node,
    a bitset of the primary outputs it reaches combinationally ([w] words of
@@ -65,10 +79,7 @@ let fanin_cone t id =
    flip-flop's set is its own PO bits plus its combinational consumers'
    sets -- exactly {!comb_output_cone}, for all flip-flops in
    O(edges x w). *)
-let group_ffs_by_cone t =
-  Obs.Trace.with_span ~args:[ ("netlist", Cjson.Str (Netlist.name t)) ]
-    "topo.ff_groups"
-  @@ fun () ->
+let compute_ff_groups t =
   let pos = Array.of_list (Netlist.outputs t) in
   let bits = Sys.int_size in
   let w = (Array.length pos + bits - 1) / bits in
@@ -141,3 +152,24 @@ let group_ffs_by_cone t =
     (Netlist.ffs t);
   Hashtbl.fold (fun _ m acc -> List.rev !m :: acc) buckets []
   |> List.sort (fun a b -> compare (List.length b) (List.length a))
+
+(* Memoized per netlist generation (Netlist.cached_ff_groups): a Table II
+   row groups its source netlist once for Hybrid's pick and the three
+   GK insertions.  The span is emitted on hits too, flagged by [memo]. *)
+let group_ffs_by_cone t =
+  let cached = Netlist.cached_ff_groups t in
+  Obs.Trace.with_span
+    ~args:
+      [
+        ("netlist", Cjson.Str (Netlist.name t));
+        ("memo", Cjson.Str (if Option.is_none cached then "miss" else "hit"));
+      ]
+    "topo.ff_groups"
+  @@ fun () ->
+  match cached with
+  | Some groups -> groups
+  | None ->
+    let groups = compute_ff_groups t in
+    Obs.Metrics.incr m_ff_groups_computed;
+    Netlist.cache_ff_groups t groups;
+    groups

@@ -25,8 +25,12 @@ val output_cone : Netlist.t -> int -> string list
     reachability: propagation stops at flip-flop D pins. *)
 val comb_output_cone : Netlist.t -> int -> string list
 
-(** [fanin_cone t id] is the set of node ids in the transitive combinational
-    fanin of [id], including [id] itself, stopping at sources. *)
+(** [fanin_cones t roots] is the union of the transitive combinational
+    fanins of [roots], each root included, stopping at sources, in
+    ascending id order.  One marking pass over the union: O(nodes). *)
+val fanin_cones : Netlist.t -> int list -> int list
+
+(** [fanin_cone t id] is [fanin_cones t [id]]. *)
 val fanin_cone : Netlist.t -> int -> int list
 
 (** [group_ffs_by_cone t] buckets flip-flop ids by their
@@ -34,5 +38,11 @@ val fanin_cone : Netlist.t -> int -> int list
     reaches combinationally, without crossing another flip-flop — largest
     bucket first: the FF grouping of [4].  Members keep {!Netlist.ffs}
     order.  One reverse pass over {!Netlist.comb_topo_array} with a
-    per-node bitset of reached outputs: O(nodes × ⌈POs/63⌉). *)
+    per-node bitset of reached outputs: O(nodes × ⌈POs/63⌉).
+
+    Memoized inside the netlist like {!Netlist.levels}: a second call at
+    the same {!Netlist.generation} returns the same list, and any
+    mutation invalidates it.  Every call emits a [topo.ff_groups] span
+    whose [memo] arg is ["hit"] or ["miss"]; each miss increments the
+    [topo.ff_groups_computed] counter. *)
 val group_ffs_by_cone : Netlist.t -> int list list

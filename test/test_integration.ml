@@ -266,6 +266,155 @@ let test_golden_tables () =
   Alcotest.(check string) "Table II buffers" "5ddd5beadf8e112a7cd2cddca7db7028"
     (digest (Report.table2 (Experiments.table2 ~profile:`Buffers_only ())))
 
+(* Digests of locked netlists: [Xor_lock.lock_on] on a fixed wire set
+   (PO drivers, flip-flop outputs, random wires and a wire feeding a
+   chosen one), [Xor_lock.lock ~n_keys:64] (fewer on the small circuits)
+   and [Hybrid.lock] at the Table II seeds under both delay profiles
+   (8 GKs and 16 XORs, or as many as the small circuits have room for).
+   Recorded before the XOR splice moved onto one fanout table per lock,
+   the FF grouping was memoized and the hybrid cone union became one
+   marking pass. *)
+
+let take n l = List.filteri (fun i _ -> i < n) l
+
+let golden_lock_wires net =
+  let gw = Locked.gate_wires net in
+  let is_wire = Array.make (Netlist.num_nodes net) false in
+  List.iter (fun id -> is_wire.(id) <- true) gw;
+  let po_drivers =
+    List.filter_map
+      (fun (_, d) -> if is_wire.(d) then Some d else None)
+      (Netlist.outputs net)
+  in
+  let picked =
+    Locked.pick_distinct (Random.State.make [| 7 |])
+      (min 10 (List.length gw)) gw
+  in
+  let feeders =
+    List.filter_map
+      (fun id ->
+        let nd = Netlist.node net id in
+        if Netlist.is_comb nd && is_wire.(nd.Netlist.fanins.(0)) then
+          Some nd.Netlist.fanins.(0)
+        else None)
+      picked
+  in
+  let seen = Hashtbl.create 32 in
+  List.filter
+    (fun id ->
+      if Hashtbl.mem seen id then false
+      else (
+        Hashtbl.replace seen id ();
+        true))
+    (take 3 po_drivers @ take 3 (Netlist.ffs net) @ picked @ take 2 feeders)
+
+let golden_locked_digests (name, net, margin) =
+  let print net = digest (Bench_format.print net) in
+  let n_comb =
+    List.length
+      (List.filter
+         (fun id -> Netlist.is_comb (Netlist.node net id))
+         (Locked.gate_wires net))
+  in
+  let clock_ps = Sta.clock_for net ~margin in
+  let seed = (Hashtbl.hash name land 0xffff) + 99 in
+  let n_gks =
+    min 8 (List.length (Insertion.available_sites net ~clock_ps ~l_glitch_ps:1000))
+  in
+  let hybrid profile =
+    match
+      Hybrid.lock ~seed ~profile net ~clock_ps ~n_gks ~n_xors:(min 16 (n_comb / 2))
+    with
+    | h -> print h.Hybrid.design.Insertion.lnet
+    | exception Invalid_argument _ -> "n/a"
+  in
+  ( name,
+    [
+      print (Xor_lock.lock_on ~seed:3 net ~wires:(golden_lock_wires net)).Locked.net;
+      print (Xor_lock.lock ~seed:3 net ~n_keys:(min 64 n_comb)).Locked.net;
+      hybrid `Standard;
+      hybrid `Buffers_only;
+    ] )
+
+let golden_locked =
+  [
+    ( "s1238",
+      [
+        "8961d83506ccec926eb19cbd9672787e";
+        "1c8c8e1a1afaf1d152dc22995c385455";
+        "fc4d0d89fdd29f855c5b0976a486992d";
+        "4b714e1fbb461934e5aac05869f6346e";
+      ] );
+    ( "s5378",
+      [
+        "50fb261122a4e589d6f3065e6ef8ef99";
+        "77351a2c2408a0c2dfacc5b4dd94e6f5";
+        "19ea409b1887d086a13d0d0b1f6d9e25";
+        "f2b05f32842b0dcae7254605b189c1d4";
+      ] );
+    ( "s9234",
+      [
+        "476a33d293d94745f787d52a827d76dc";
+        "fee3bfdc58d5a2c4ffdc1e4c06fa5b9d";
+        "deecc70642e949ef998002b4d0aa5aac";
+        "ababb778e759decefd96c1896a78225a";
+      ] );
+    ( "s13207",
+      [
+        "a5208cc9ea43a8dac01c5014e3e85c59";
+        "aa5e4cfcc44a31ae553e74a8924c4313";
+        "e8c8e268cf4bf463e0800c22c7ed50c3";
+        "7f23afc4c4b47329806b14180628ee90";
+      ] );
+    ( "s15850",
+      [
+        "76bd69619f9f72bf43ac266dc84ceb60";
+        "65652c3acb2323e2487bad9e1ba62e28";
+        "03d0e2806f047a043a9ba32220de4937";
+        "f8ca5d22b8aab7c5fc28518ff3ed0fe1";
+      ] );
+    ( "s38417",
+      [
+        "67802967f51bbd75b209e39527a921e4";
+        "6a433fddbf291a70f96ae2d8c4d89d23";
+        "e5aa3c1ad9d9279bda75bcc8b6964e37";
+        "4637b2a3e24d2b55d668c577d3c86d94";
+      ] );
+    ( "s38584",
+      [
+        "b6afa7a2fae4d29ee5d92a4943d2e461";
+        "d9cc916f86722db8b9caed8947ca2360";
+        "2c3aeb07e6e18adba2babb7115d7d042";
+        "429432e444d6c0b70e9f32da1d402628";
+      ] );
+    ( "s27",
+      [
+        "d50e648cde952d5726345fa1fdaea299";
+        "f4ddc06aab13a0b3d88d9a205b1efc6c";
+        "5309065a5cb1cc40208371b7cd5672e7";
+        "d76498491ed12c8683eaa54e8d23ecac";
+      ] );
+    ( "tiny",
+      [
+        "afabb09be6434d64c92dc38a1d67579f";
+        "b140819149e07788070cb65aabda73c0";
+        "bcf7f6c95cc657704fa2d6193d1a6e30";
+        "7a7badce41a66b414800141051b0c281";
+      ] );
+  ]
+
+let test_golden_locked () =
+  let benches =
+    List.map
+      (fun spec ->
+        (spec.Benchmarks.bname, Benchmarks.load spec, spec.Benchmarks.clk_margin))
+      Benchmarks.specs
+    @ [ ("s27", Benchmarks.s27 (), 4.5); ("tiny", Benchmarks.tiny (), 4.5) ]
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "xor_on / xor64 / hybrid standard / hybrid buffers" golden_locked
+    (List.map golden_locked_digests benches)
+
 let suites =
   [
     ( "integration.tables",
@@ -279,6 +428,7 @@ let suites =
       [
         tc "generated netlists" `Quick test_golden_netlists;
         tc "tables I/II" `Slow test_golden_tables;
+        tc "locked netlists" `Slow test_golden_locked;
       ] );
     ( "integration.figures",
       [

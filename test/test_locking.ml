@@ -70,6 +70,101 @@ let mux_correct_key_law seed =
   let lk = Mux_lock.lock ~seed comb ~n_keys:6 in
   Equiv.check ~fixed_b:lk.Locked.correct_key comb lk.Locked.net = Equiv.Equivalent
 
+(* Per-wire reference for [Xor_lock.lock_on]: every splice re-reads the
+   fanout table, so it sees each earlier splice. *)
+let reference_xor_lock_on ~seed ~name_prefix net ~wires =
+  let rng = Random.State.make [| seed; 0x584f |] in
+  let net = Netlist.copy net in
+  List.iteri
+    (fun i target ->
+      let bit = Random.State.bool rng in
+      let k = Netlist.add_input net (Printf.sprintf "%s%d" name_prefix i) in
+      let fanouts = (Netlist.fanout_table net).(target) in
+      let pos =
+        List.filter_map
+          (fun (po, d) -> if d = target then Some po else None)
+          (Netlist.outputs net)
+      in
+      let tname = (Netlist.node net target).Netlist.name in
+      if List.mem tname pos then begin
+        let rec fresh i =
+          let n =
+            Printf.sprintf "%s_pre%s" tname (if i = 0 then "" else string_of_int i)
+          in
+          match Netlist.rename net target n with
+          | () -> ()
+          | exception Invalid_argument _ -> fresh (i + 1)
+        in
+        fresh 0
+      end;
+      let g =
+        Netlist.add_gate net
+          ~name:(Printf.sprintf "%s%d_gate" name_prefix i)
+          (if bit then Cell.Xnor else Cell.Xor)
+          [| target; k |]
+      in
+      List.iter
+        (fun (c, pin) ->
+          if c <> g then Netlist.set_fanin net ~node_id:c ~pin ~driver:g)
+        fanouts;
+      List.iter (fun po -> Netlist.set_output_driver net po g) pos)
+    wires;
+  net
+
+(* The one-table XOR splice of [Xor_lock.lock_on] prints byte for byte
+   like the per-wire reference.  The wires include PO drivers (one of
+   them renamed to its PO's name), flip-flop outputs, random wires, a
+   wire feeding another chosen wire, and one wire listed twice. *)
+let xor_splice_parity_law seed =
+  let net =
+    Generator.generate
+      {
+        Generator.gen_name = Printf.sprintf "spl%d" seed;
+        seed;
+        n_pi = 2 + (seed mod 6);
+        n_po = 1 + (seed mod 12);
+        n_ff = 1 + (seed mod 9);
+        n_gates = 20 + (seed mod 120);
+        depth = 2 + (seed mod 7);
+        ff_depth_bias = float_of_int (seed mod 10) /. 10.0;
+      }
+  in
+  let gw = Locked.gate_wires net in
+  let is_comb id = Netlist.is_comb (Netlist.node net id) in
+  let po_drivers =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (_, d) -> if is_comb d then Some d else None)
+         (Netlist.outputs net))
+  in
+  let po_named =
+    match List.find_opt (fun (_, d) -> is_comb d) (Netlist.outputs net) with
+    | Some (po, d) ->
+      Netlist.rename net d po;
+      [ d ]
+    | None -> []
+  in
+  let rng = Random.State.make [| seed; 17 |] in
+  let picked = Locked.pick_distinct rng (min 6 (List.length gw)) gw in
+  let feeder =
+    List.filter_map
+      (fun id ->
+        if is_comb id then Some (Netlist.node net id).Netlist.fanins.(0) else None)
+      picked
+  in
+  let wires =
+    List.sort_uniq compare
+      (po_named
+      @ List.filteri (fun i _ -> i < 3) po_drivers
+      @ List.filteri (fun i _ -> i < 2) (Netlist.ffs net)
+      @ picked
+      @ List.filteri (fun i _ -> i < 1) feeder)
+  in
+  let wires = List.rev wires @ [ List.nth wires (List.length wires - 1) ] in
+  let lk = Xor_lock.lock_on ~seed ~name_prefix:"xk" net ~wires in
+  let reference = reference_xor_lock_on ~seed ~name_prefix:"xk" net ~wires in
+  Bench_format.print lk.Locked.net = Bench_format.print reference
+
 let test_xor_structure () =
   let comb = comb_circuit 9 in
   let lk = Xor_lock.lock ~seed:9 comb ~n_keys:5 in
@@ -585,6 +680,8 @@ let suites =
         tc "structure" `Quick test_xor_structure;
         tc "wrong key corrupts" `Quick test_xor_wrong_key_corrupts;
         qcheck ~count:20 "correct key transparent" seed_arb xor_correct_key_law;
+        qcheck ~count:60 "one-table splice = per-wire splice" seed_arb
+          xor_splice_parity_law;
       ] );
     ( "locking.mux",
       [

@@ -189,6 +189,46 @@ let test_netlist_copy_compact () =
   Alcotest.(check int) "compacted" (Netlist.num_nodes c) (Netlist.num_nodes c2 + 1);
   Alcotest.(check int) "dead remap" (-1) remap.(g)
 
+(* A copy prints like its original, resolves every live name (and no
+   dead one) to the same id, and shares no mutable state with it.  The
+   originals carry a killed gate, a renamed node and a LUT. *)
+let copy_law seed =
+  let net = small_circuit seed in
+  let rng = Random.State.make [| seed |] in
+  let gates =
+    List.filter
+      (fun id -> Netlist.is_comb (Netlist.node net id))
+      (List.init (Netlist.num_nodes net) Fun.id)
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let victim = pick gates in
+  Netlist.replace_uses net ~old_id:victim
+    ~new_id:(Netlist.node net victim).Netlist.fanins.(0);
+  Netlist.kill net victim;
+  let a = List.hd (Netlist.inputs net) in
+  let lut = Netlist.add_lut net ~name:"lut_c" ~truth:[| true; false |] [| a |] in
+  Netlist.add_output net "lut_out" lut;
+  Netlist.rename net (pick (List.filter (( <> ) victim) gates)) "renamed_c";
+  let c = Netlist.copy net in
+  let before = Bench_format.print net in
+  let names_ok =
+    List.for_all
+      (fun id ->
+        let nd = Netlist.node net id in
+        match nd.Netlist.kind with
+        | Netlist.Dead -> Netlist.find c nd.Netlist.name = None
+        | _ -> Netlist.find c nd.Netlist.name = Some id)
+      (List.init (Netlist.num_nodes net) Fun.id)
+  in
+  let same = Bench_format.print c = before in
+  ignore (Netlist.add_gate c ~name:"extra_c" Cell.Not [| a |]);
+  Netlist.set_fanin c ~node_id:lut ~pin:0 ~driver:(List.nth (Netlist.inputs c) 1);
+  Netlist.rename c lut "lut_moved";
+  names_ok && same
+  && Bench_format.print net = before
+  && Netlist.find net "extra_c" = None
+  && Netlist.find net "lut_c" = Some lut
+
 let test_netlist_widen () =
   let n = Netlist.create "t" in
   let a = Netlist.add_input n "a" in
@@ -464,6 +504,96 @@ let ff_groups_parity_law (seed, n_po) =
   Netlist.kill net g;
   Topo.group_ffs_by_cone net = reference_ff_groups net
 
+(* The grouping is memoized per netlist generation.  Group, mutate the
+   same netlist object (a new PO, a gate pin rewired to a flip-flop, or a
+   gate widened by a flip-flop), group again: the result is the reference
+   grouping of the mutated netlist.  A hit equals a fresh copy's
+   grouping. *)
+let ff_groups_memo_law (seed, mutation) =
+  let net =
+    Generator.generate
+      {
+        Generator.gen_name = Printf.sprintf "memo%d" seed;
+        seed;
+        n_pi = 2 + (seed mod 5);
+        n_po = 1 + (seed mod 70);
+        n_ff = 1 + (seed mod 15);
+        n_gates = 30 + (seed mod 150);
+        depth = 2 + (seed mod 8);
+        ff_depth_bias = float_of_int (seed mod 10) /. 10.0;
+      }
+  in
+  let first = Topo.group_ffs_by_cone net in
+  let hit = Topo.group_ffs_by_cone net in
+  let fresh = Topo.group_ffs_by_cone (Netlist.copy net) in
+  let rng = Random.State.make [| seed; mutation |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let gates =
+    List.filter
+      (fun id -> Netlist.is_comb (Netlist.node net id))
+      (List.init (Netlist.num_nodes net) Fun.id)
+  in
+  let variadic =
+    List.filter
+      (fun id ->
+        match (Netlist.node net id).Netlist.kind with
+        | Netlist.Gate (Cell.And | Cell.Or | Cell.Nand | Cell.Nor | Cell.Xor | Cell.Xnor)
+          -> true
+        | _ -> false)
+      gates
+  in
+  (* a flip-flop's Q is a source, so reading it never closes a
+     combinational cycle *)
+  let ff = pick (Netlist.ffs net) in
+  (match mutation with
+  | 0 -> Netlist.add_output net "po_memo" (pick (gates @ Netlist.ffs net))
+  | 1 -> Netlist.set_fanin net ~node_id:(pick gates) ~pin:0 ~driver:ff
+  | _ when variadic <> [] ->
+    Netlist.widen_gate net ~node_id:(pick variadic) ~extra_driver:ff
+  | _ -> Netlist.set_fanin net ~node_id:(pick gates) ~pin:0 ~driver:ff);
+  let after = Topo.group_ffs_by_cone net in
+  hit == first && hit = fresh && after = reference_ff_groups net
+
+(* Reference transitive fanin: a Hashtbl-marked DFS from one root. *)
+let reference_fanin_cone t id =
+  let seen = Hashtbl.create 64 in
+  let rec visit id =
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.replace seen id ();
+      let nd = Netlist.node t id in
+      if Netlist.is_comb nd then Array.iter visit nd.Netlist.fanins
+    end
+  in
+  visit id;
+  List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) seen [])
+
+(* One marking pass over several roots gives the sorted union of the
+   single-root cones; roots include flip-flops and inputs. *)
+let fanin_cones_law seed =
+  let net =
+    Generator.generate
+      {
+        Generator.gen_name = Printf.sprintf "cone%d" seed;
+        seed;
+        n_pi = 3;
+        n_po = 4;
+        n_ff = 5;
+        n_gates = 40 + (seed mod 100);
+        depth = 2 + (seed mod 6);
+        ff_depth_bias = 0.3;
+      }
+  in
+  let rng = Random.State.make [| seed |] in
+  let roots =
+    List.init (1 + (seed mod 6)) (fun _ ->
+        Random.State.int rng (Netlist.num_nodes net))
+  in
+  Topo.fanin_cones net roots
+  = List.sort_uniq compare (List.concat_map (reference_fanin_cone net) roots)
+  && List.for_all
+       (fun r -> Topo.fanin_cone net r = reference_fanin_cone net r)
+       roots
+
 (* ----- Stats ----- *)
 
 let test_stats_overhead () =
@@ -551,6 +681,8 @@ let suites =
         tc "cycle detection" `Quick test_netlist_cycle_detection;
         tc "replace_uses" `Quick test_netlist_replace_uses;
         tc "copy/compact" `Quick test_netlist_copy_compact;
+        qcheck ~count:40 "copy is faithful and independent"
+          QCheck.(int_bound 10_000) copy_law;
         tc "widen_gate" `Quick test_netlist_widen;
         tc "eval_comb" `Quick test_eval_comb;
         qcheck "topo order respects fanins" gen_circuit_arb topo_order_law;
@@ -582,6 +714,11 @@ let suites =
         qcheck ~count:60 "ff groups match per-FF BFS (generated)"
           QCheck.(pair (int_bound 100_000) (int_range 1 150))
           ff_groups_parity_law;
+        qcheck ~count:60 "ff groups memo invalidated by mutation"
+          QCheck.(pair (int_bound 100_000) (int_bound 2))
+          ff_groups_memo_law;
+        qcheck ~count:40 "fanin_cones = union of per-root cones"
+          QCheck.(int_bound 100_000) fanin_cones_law;
       ] );
     ("netlist.stats", [ tc "overhead" `Quick test_stats_overhead ]);
     ( "netlist.combinationalize",

@@ -222,6 +222,39 @@ let test_trace_table_spans () =
     (has "topo.ff_groups" "job");
   Sys.remove path
 
+let test_table2_row_groups_twice () =
+  (* one Table II row groups its source netlist once (Hybrid's pick and
+     the three GK insertions share it) and the XOR-locked netlist once;
+     every call still emits its span, flagged hit or miss *)
+  let computed = Obs.Metrics.counter "topo.ff_groups_computed" in
+  let before = Obs.Metrics.value computed in
+  let path = tmp_file ".jsonl" in
+  Obs.Trace.enable ~file:path ();
+  ignore (Experiments.table2_row (Option.get (Benchmarks.find_spec "s5378")));
+  Obs.Trace.disable ();
+  let n = Obs.Metrics.value computed - before in
+  Alcotest.(check bool) (Printf.sprintf "computed %d times" n) true (n >= 1 && n <= 2);
+  let memo = ref [] in
+  let ic = open_in path in
+  (try
+     while true do
+       match Cjson.of_string (input_line ic) with
+       | Ok j -> (
+         let str k j = Option.bind (Cjson.member k j) Cjson.to_str in
+         match (str "name" j, str "ph" j, Cjson.member "args" j) with
+         | Some "topo.ff_groups", Some "B", Some args ->
+           memo := Option.value (str "memo" args) ~default:"?" :: !memo
+         | _ -> ())
+       | Error e -> Alcotest.fail ("unparseable trace line: " ^ e)
+     done
+   with End_of_file -> ());
+  close_in ic;
+  Sys.remove path;
+  let count v = List.length (List.filter (( = ) v) !memo) in
+  Alcotest.(check int) "a span per call" 5 (List.length !memo);
+  Alcotest.(check int) "misses = computations" n (count "miss");
+  Alcotest.(check int) "hits" (5 - n) (count "hit")
+
 (* ----- Budget: zero/expired deadline (regression) ----- *)
 
 let test_budget_zero_deadline_structured () =
@@ -396,6 +429,8 @@ let suites =
         tc "validator rejects bad files" `Quick test_trace_validator_rejects;
         tc "attack iteration spans" `Quick test_trace_attack_iteration_spans;
         tc "table job spans nest" `Quick test_trace_table_spans;
+        tc "table2 row groups each netlist once" `Quick
+          test_table2_row_groups_twice;
       ] );
     ( "obs.regressions",
       [
