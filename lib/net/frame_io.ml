@@ -96,7 +96,7 @@ let really_read fd buf len =
   in
   go 0
 
-let read_frame fd =
+let read_raw fd =
   let hdr = Bytes.create Wire.header_bytes in
   match really_read fd hdr Wire.header_bytes with
   | `Short 0 -> Error `Eof
@@ -117,13 +117,13 @@ let read_frame fd =
                  need = Wire.header_bytes + h.Wire.h_len;
                }))
       | `Unix e -> Error (`Unix e)
-      | `Ok -> (
-        match Wire.decode_payload h payload with
-        | Ok f -> Ok f
-        | Error w -> Error (`Wire w))))
+      | `Ok -> Ok (h, payload)))
 
-let write_frame fd ~id msg =
-  let b = Wire.encode ~id msg in
+let read_frame fd =
+  Result.bind (read_raw fd) (fun (h, payload) ->
+      Result.map_error (fun w -> `Wire w) (Wire.decode_payload h payload))
+
+let write_bytes fd b =
   let len = Bytes.length b in
   let rec go pos =
     if pos < len then
@@ -134,3 +134,5 @@ let write_frame fd ~id msg =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
   in
   go 0
+
+let write_frame fd ~id msg = write_bytes fd (Wire.encode ~id msg)

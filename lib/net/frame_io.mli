@@ -43,6 +43,15 @@ val read_error_message : read_error -> string
 (** [read_frame fd] blocks for one complete frame. *)
 val read_frame : Unix.file_descr -> (Wire.frame, read_error) result
 
+(** [read_raw fd] is {!read_frame} without the payload decode: one
+    frame's checked header and its payload bytes, for a caller that
+    times {!Wire.decode_payload} apart from the socket wait. *)
+val read_raw : Unix.file_descr -> (Wire.header * Bytes.t, read_error) result
+
+(** [write_bytes fd b] writes an already encoded frame, retrying short
+    writes.  @raise Unix.Unix_error (e.g. [EPIPE]) on a dead peer. *)
+val write_bytes : Unix.file_descr -> Bytes.t -> unit
+
 (** [write_frame fd ~id msg] writes one complete frame, retrying short
     writes.  @raise Unix.Unix_error (e.g. [EPIPE]) on a dead peer. *)
 val write_frame : Unix.file_descr -> id:int -> Wire.msg -> unit

@@ -10,6 +10,19 @@ let g_queue_depth = Obs.Metrics.gauge "gklockd.queue_depth"
 let h_batch_fill = Obs.Metrics.histogram "gklockd.batch_fill"
 let h_queue_wait = Obs.Metrics.histogram "gklockd.queue_wait_s"
 
+(* One observation per frame and stage: payload decode (not the socket
+   wait), engine evaluation (not the oracle-mutex wait) and reply
+   encode (not the socket write). *)
+let h_decode = Obs.Metrics.histogram "gklockd.decode_s"
+let h_eval = Obs.Metrics.histogram "gklockd.eval_s"
+let h_encode = Obs.Metrics.histogram "gklockd.encode_s"
+
+let timed h f =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.observe h (Unix.gettimeofday () -. t0))
+    f
+
 (* Per-client query counters are keyed by the client-chosen [Hello]
    name, which is attacker-controlled: cap how many distinct counters a
    long-running daemon will ever register, and fold the rest (and
@@ -244,20 +257,21 @@ let drain_wakes ds =
    scalar client of the design.  Beyond socket errors, [Wire.encode]
    raises [Invalid_argument] when the reply itself cannot be framed — a
    [Batch_result] can exceed [Wire.max_payload] even though the request
-   fit (designs with more/longer output names than inputs) — so that
-   case degrades to a structured [Server_error] frame telling the
-   client to split its batch. *)
+   fit (a design whose output names and bits outweigh its inputs') — so
+   that case degrades to a structured [Server_error] frame telling the
+   client to split its batch.  Encoding runs before the write lock is
+   taken: only the socket write needs it. *)
 
 let reply conn ~id msg =
-  Mutex.lock conn.c_wmu;
-  (try
-     if not conn.c_closed then
-       try Frame_io.write_frame conn.c_fd ~id msg
-       with Invalid_argument _ -> (
-         match msg with
-         | Wire.Error _ -> ()  (* unencodable error frame: give up *)
-         | _ ->
-           Frame_io.write_frame conn.c_fd ~id
+  let frame =
+    match timed h_encode (fun () -> Wire.encode ~id msg) with
+    | b -> Some b
+    | exception Invalid_argument _ -> (
+      match msg with
+      | Wire.Error _ -> None  (* unencodable error frame: give up *)
+      | _ ->
+        Some
+          (Wire.encode ~id
              (Wire.Error
                 {
                   code = Wire.Server_error;
@@ -266,7 +280,13 @@ let reply conn ~id msg =
                       "reply (%s) exceeds the %d-byte frame cap; split the \
                        batch into smaller chunks"
                       (Wire.msg_type_name msg) Wire.max_payload;
-                }))
+                })))
+  in
+  Mutex.lock conn.c_wmu;
+  (try
+     match frame with
+     | Some b when not conn.c_closed -> Frame_io.write_bytes conn.c_fd b
+     | _ -> ()
    with Unix.Unix_error _ | Sys_error _ -> ());
   Mutex.unlock conn.c_wmu
 
@@ -345,7 +365,7 @@ let find_design t name = Hashtbl.find_opt t.by_name name
    thread at a time. *)
 let oracle_batch ds qs =
   Mutex.lock ds.ds_omu;
-  match Oracle.query_batch ds.ds_oracle qs with
+  match timed h_eval (fun () -> Oracle.query_batch ds.ds_oracle qs) with
   | rs ->
     Mutex.unlock ds.ds_omu;
     rs
@@ -529,18 +549,22 @@ let handle t conn ~id msg =
         true)
 
 let reader t conn () =
+  (* hostile or corrupt bytes: answer with a structured error frame and
+     drop the connection — a byte stream cannot be resynced *)
+  let bad w =
+    Obs.Metrics.incr m_bad_frames;
+    reply_error conn ~id:0
+      (Wire.error_code_of_wire_error w)
+      (Wire.wire_error_message w)
+  in
   let rec loop () =
-    match Frame_io.read_frame conn.c_fd with
-    | Ok { Wire.id; msg } -> if handle t conn ~id msg then loop ()
-    | Error `Eof -> ()
-    | Error (`Wire w) ->
-      (* hostile or corrupt bytes: answer with a structured error frame
-         and drop the connection — a byte stream cannot be resynced *)
-      Obs.Metrics.incr m_bad_frames;
-      reply_error conn ~id:0
-        (Wire.error_code_of_wire_error w)
-        (Wire.wire_error_message w)
-    | Error (`Unix _) -> ()
+    match Frame_io.read_raw conn.c_fd with
+    | Ok (h, payload) -> (
+      match timed h_decode (fun () -> Wire.decode_payload h payload) with
+      | Ok { Wire.id; msg } -> if handle t conn ~id msg then loop ()
+      | Error w -> bad w)
+    | Error `Eof | Error (`Unix _) -> ()
+    | Error (`Wire w) -> bad w
   in
   (try loop () with _ -> ());
   close_conn t conn

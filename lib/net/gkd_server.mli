@@ -43,8 +43,12 @@
     (capped at 256 distinct names; further names — and clients that
     never send a [Hello] — share [gklockd.client_queries.other]), the
     [gklockd.queue_depth] gauge, the [gklockd.batch_fill] histogram
-    (observed {e once per flush} with the number of coalesced lanes) and
-    [gklockd.flush] / [gklockd.request] trace spans.  With
+    (observed {e once per flush} with the number of coalesced lanes),
+    per-frame stage histograms in seconds — [gklockd.decode_s] (payload
+    decode, not the socket wait), [gklockd.eval_s] (each engine
+    evaluation, batch path and flusher alike, not the oracle-mutex
+    wait) and [gklockd.encode_s] (each reply's encode, not its write) —
+    and [gklockd.flush] / [gklockd.request] trace spans.  With
     {!config.metrics_out} set, the whole metrics registry — including
     the oracle's [oracle.memo_evictions] and batch-fill counters — is
     dumped periodically and once more on shutdown.

@@ -65,47 +65,36 @@ let query_batch_frame t assignments =
   | m ->
     transport_error ("expected a batch result frame, got " ^ Wire.msg_type_name m)
 
-(* A [Query_batch] frame must fit [Wire.max_payload], and a wide design
-   can blow past that (1k queries x 1.7k pins on s38417 is ~20 MB), so
-   oversized query sets are split across several frames.  The split is
-   invisible to the attack layer: chunks stay in order and the results
-   are concatenated.  [assignment_bytes] mirrors the wire encoding —
-   u16 pin count, then per pin a u16-length string and a bool byte. *)
-let assignment_bytes q =
-  List.fold_left (fun acc (name, _) -> acc + 3 + String.length name) 2 q
-
+(* A [Query_batch] frame and its single reply must each fit
+   [Wire.max_payload], so a query set too large for one frame is split
+   in halves until every chunk and its reply fit, or a chunk holds one
+   query (the server rejects an unframable single query with a clean
+   error rather than the client mis-framing).  The reply's size follows
+   exactly from the design listing: one assignment over the design's
+   outputs per query.  The split is invisible to the attack layer:
+   chunks stay in order and the results are concatenated. *)
 let batch_chunks t assignments =
-  (* Both the request and its single reply must fit a frame, and the
-     reply can be the larger one (a chip reports every output pin).
-     The design listing gives the exact output names, so size the
-     request budget down by the reply/query byte ratio with 2x slack. *)
-  let ratio =
+  let reply_row =
     match List.find_opt (fun i -> i.Wire.d_name = t.r_design) t.r_designs with
-    | Some { Wire.d_inputs = _ :: _ as ins; d_outputs = outs; _ } ->
-      let bytes pins =
-        List.fold_left (fun acc p -> acc + 3 + String.length p) 2 pins
-      in
-      Float.max 1.0 (float_of_int (bytes outs) /. float_of_int (bytes ins))
-    | _ -> 1.0
+    | Some d -> List.map (fun o -> (o, false)) d.Wire.d_outputs
+    | None -> []
   in
-  (* No floor beyond 1: flooring the budget at a few KiB re-creates the
-     overflow it exists to prevent when the reply/query ratio is huge
-     (few inputs, thousands of long-named outputs).  A single oversized
-     query still ships alone — the server rejects it with a clean error
-     rather than the client mis-framing. *)
-  let budget =
-    Stdlib.max 1
-      (int_of_float (float_of_int (Wire.max_payload / 2) /. ratio))
+  let fits qs =
+    Wire.payload_bytes
+      (Wire.Query_batch { design = t.r_design; assignments = qs })
+    <= Wire.max_payload
+    && Wire.payload_bytes (Wire.Batch_result (List.map (fun _ -> reply_row) qs))
+       <= Wire.max_payload
   in
-  let rec split acc cur cur_bytes = function
-    | [] -> List.rev (List.rev cur :: acc)
-    | q :: rest ->
-      let b = assignment_bytes q in
-      if cur <> [] && cur_bytes + b > budget then
-        split (List.rev cur :: acc) [ q ] b rest
-      else split acc (q :: cur) (cur_bytes + b) rest
+  let rec split = function
+    | ([] | [ _ ]) as qs -> [ qs ]
+    | qs when fits qs -> [ qs ]
+    | qs ->
+      let half = List.length qs / 2 in
+      split (List.filteri (fun i _ -> i < half) qs)
+      @ split (List.filteri (fun i _ -> i >= half) qs)
   in
-  split [] [] 0 assignments
+  split assignments
 
 let query_batch_remote t assignments =
   if assignments = [] then []

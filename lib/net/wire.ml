@@ -1,4 +1,4 @@
-let protocol_version = 1
+let protocol_version = 2
 let header_bytes = 16
 let max_payload = 1 lsl 24
 
@@ -201,13 +201,69 @@ let put_str b s =
   put_u16 b (String.length s);
   Buffer.add_string b s
 
-let put_assignment b a =
-  put_u16 b (List.length a);
+(* ----- the assignment-list layout (runs of packed bits, see the
+   interface) -----
+
+   A run is a maximal stretch of consecutive assignments with the same
+   pin names in the same order; [same_pins] tries physical equality
+   first, which is the common case for the lists an oracle returns. *)
+
+let bits_bytes n = Stdlib.max 1 ((n + 7) lsr 3)
+
+let rec same_pins a b =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | (x, _) :: a, (y, _) :: b -> String.equal x y && same_pins a b
+  | _ -> false
+
+(* [(first, m, rows)] per run, in order: [first] is the run's first
+   assignment (its pin names are the run's), [rows] its [m] assignments. *)
+let runs_of assignments =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | a :: rest ->
+      let rec take m rows = function
+        | b :: rest when same_pins a b -> take (m + 1) (b :: rows) rest
+        | rest -> go ((a, m, List.rev rows) :: acc) rest
+      in
+      take 1 [ a ] rest
+  in
+  go [] assignments
+
+let run_bytes (first, m, _) =
+  let names, n =
+    List.fold_left
+      (fun (bytes, n) (name, _) -> (bytes + 2 + String.length name, n + 1))
+      (0, 0) first
+  in
+  2 + names + 4 + (m * bits_bytes n)
+
+let assignments_bytes runs =
+  List.fold_left (fun acc r -> acc + run_bytes r) 4 runs
+
+let put_bits b a =
+  let rec go acc k = function
+    | [] -> put_u8 b acc
+    | (_, v) :: rest ->
+      let acc = if v then acc lor (1 lsl k) else acc in
+      if k = 7 then (
+        put_u8 b acc;
+        if rest <> [] then go 0 0 rest)
+      else go acc (k + 1) rest
+  in
+  go 0 0 a
+
+let put_assignments b runs =
+  put_u32 b (List.length runs);
   List.iter
-    (fun (name, v) ->
-      put_str b name;
-      put_u8 b (if v then 1 else 0))
-    a
+    (fun (first, m, rows) ->
+      put_u16 b (List.length first);
+      List.iter (fun (name, _) -> put_str b name) first;
+      put_u32 b m;
+      List.iter (put_bits b) rows)
+    runs
 
 let encode_payload b msg =
   match msg with
@@ -231,18 +287,35 @@ let encode_payload b msg =
       ds
   | Query { design; assignment } ->
     put_str b design;
-    put_assignment b assignment
-  | Result a -> put_assignment b a
+    put_assignments b (runs_of [ assignment ])
+  | Result a -> put_assignments b (runs_of [ a ])
   | Query_batch { design; assignments } ->
     put_str b design;
-    put_u32 b (List.length assignments);
-    List.iter (put_assignment b) assignments
-  | Batch_result rs ->
-    put_u32 b (List.length rs);
-    List.iter (put_assignment b) rs
+    put_assignments b (runs_of assignments)
+  | Batch_result rs -> put_assignments b (runs_of rs)
   | Error { code; detail } ->
     put_u8 b (error_code_byte code);
     put_str b detail
+
+let str_bytes s = 2 + String.length s
+let strs_bytes l = List.fold_left (fun acc s -> acc + str_bytes s) 2 l
+
+let payload_bytes = function
+  | Hello { client = s; _ } | Hello_ack { server = s; _ } -> str_bytes s + 1
+  | List_designs | Ping | Pong | Shutdown | Shutdown_ack -> 0
+  | Designs ds ->
+    List.fold_left
+      (fun acc d ->
+        acc + str_bytes d.d_name + 4 + strs_bytes d.d_inputs
+        + strs_bytes d.d_outputs)
+      2 ds
+  | Query { design; assignment } ->
+    str_bytes design + assignments_bytes (runs_of [ assignment ])
+  | Result a -> assignments_bytes (runs_of [ a ])
+  | Query_batch { design; assignments } ->
+    str_bytes design + assignments_bytes (runs_of assignments)
+  | Batch_result rs -> assignments_bytes (runs_of rs)
+  | Error { detail; _ } -> 1 + str_bytes detail
 
 (* The frame is built in one buffer: the payload is appended after a
    placeholder header, which is filled in place once the payload length
@@ -341,24 +414,66 @@ let get_str c =
   c.pos <- c.pos + n;
   s
 
-let get_bool c =
-  match get_u8 c with
-  | 0 -> false
-  | 1 -> true
-  | v -> raise (Bad (Printf.sprintf "pin value byte 0x%02x (want 0/1)" v))
-
 (* [List.init]'s argument-evaluation order is unspecified; cursor reads
    must happen left-to-right, so build lists with an explicit loop. *)
 let read_list n f =
   let rec go acc i = if i = 0 then List.rev acc else go (f () :: acc) (i - 1) in
   go [] n
 
+(* Every count is checked against the bytes left before anything is
+   allocated for it: a run costs at least 7 bytes (pin count,
+   assignment count, one assignment byte), a pin name at least 2 and an
+   assignment at least 1, even over zero pins. *)
+let get_assignments c =
+  let runs = get_u32 c in
+  if runs > (c.stop - c.pos) / 7 then raise (Bad "run count exceeds payload");
+  let acc = ref [] and prev = ref None in
+  for _ = 1 to runs do
+    let n = get_u16 c in
+    if 2 * n > c.stop - c.pos then raise (Bad "pin count exceeds payload");
+    let names = Array.make n "" in
+    for i = 0 to n - 1 do
+      names.(i) <- get_str c
+    done;
+    (match !prev with
+    | Some p when Array.length p = n && Array.for_all2 String.equal p names ->
+      raise (Bad "adjacent runs share a pin list")
+    | _ -> ());
+    prev := Some names;
+    let m = get_u32 c in
+    let w = bits_bytes n in
+    if m = 0 then raise (Bad "empty run");
+    if m > (c.stop - c.pos) / w then
+      raise (Bad "assignment count exceeds payload");
+    let tru = Array.map (fun s -> (s, true)) names in
+    let fls = Array.map (fun s -> (s, false)) names in
+    let pad = n - (8 * (w - 1)) in
+    for _ = 1 to m do
+      let base = c.pos in
+      if Char.code (Bytes.get c.buf (base + w - 1)) lsr pad <> 0 then
+        raise (Bad "non-zero padding bits");
+      let row = ref [] in
+      for i = n - 1 downto 0 do
+        let byte = Char.code (Bytes.unsafe_get c.buf (base + (i lsr 3))) in
+        row :=
+          (if byte land (1 lsl (i land 7)) <> 0 then Array.unsafe_get tru i
+           else Array.unsafe_get fls i)
+          :: !row
+      done;
+      c.pos <- base + w;
+      acc := !row :: !acc
+    done
+  done;
+  List.rev !acc
+
 let get_assignment c =
-  let n = get_u16 c in
-  read_list n (fun () ->
-      let name = get_str c in
-      let v = get_bool c in
-      (name, v))
+  match get_assignments c with
+  | [ a ] -> a
+  | l ->
+    raise
+      (Bad
+         (Printf.sprintf "%d assignments where one is expected"
+            (List.length l)))
 
 let decode_msg mtype c =
   match mtype with
@@ -389,15 +504,8 @@ let decode_msg mtype c =
   | 0x83 -> Result (get_assignment c)
   | 0x04 ->
     let design = get_str c in
-    let n = get_u32 c in
-    (* the count field is attacker-controlled: bound it by what the
-       payload could possibly hold before allocating the list *)
-    if n > c.stop - c.pos then raise (Bad "batch count exceeds payload");
-    Query_batch { design; assignments = read_list n (fun () -> get_assignment c) }
-  | 0x84 ->
-    let n = get_u32 c in
-    if n > c.stop - c.pos then raise (Bad "batch count exceeds payload");
-    Batch_result (read_list n (fun () -> get_assignment c))
+    Query_batch { design; assignments = get_assignments c }
+  | 0x84 -> Batch_result (get_assignments c)
   | 0x05 -> Ping
   | 0x85 -> Pong
   | 0x06 -> Shutdown

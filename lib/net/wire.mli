@@ -6,13 +6,38 @@
     {v
       offset  size  field
       0       2     magic "GK"
-      2       1     protocol version (currently 1)
+      2       1     protocol version (currently 2)
       3       1     message type
       4       4     request id (big-endian u32; echoed in the response)
       8       4     payload length (big-endian u32; <= max_payload)
       12      4     CRC-32 (IEEE) of the payload bytes (big-endian u32)
       16      len   payload (per-type encoding, see DESIGN.md §6h)
     v}
+
+    Strings are a big-endian u16 length and the bytes.  [Query],
+    [Result], [Query_batch] and [Batch_result] carry their assignments
+    in runs, each pin name once per run and each value as one bit:
+
+    {v
+      u32                  run count
+      per run:
+        u16                pin count n
+        n x string         the run's pin names, in order
+        u32                assignment count m (>= 1)
+        m x max 1 ⌈n/8⌉    one assignment each, packed bits
+    v}
+
+    Pin [i] of an assignment is bit [i mod 8] (LSB first) of its byte
+    [i / 8], set when the pin is true; the padding bits above [n] are
+    zero.  A run is a maximal stretch of consecutive assignments with
+    the same pin names in the same order, so a batch of queries over one
+    input list is a single run.  [Query] and [Result] hold exactly one
+    assignment.  Every assignment costs at least one byte, even over
+    zero pins, and the decoder checks each count against the bytes left
+    before allocating for it, so a small frame cannot announce millions
+    of empty assignments.  The layout is canonical: the decoder rejects
+    empty runs, adjacent runs with the same pin list and non-zero
+    padding, so every frame it accepts re-encodes to the same bytes.
 
     Encoding and decoding are pure functions over [Bytes] so the whole
     protocol is unit-testable without a socket.  {!decode} never raises
@@ -25,7 +50,8 @@
     protocol version; the server answers {!Hello_ack} with its own, or
     an {!Error} with [`Unsupported_version] when it cannot speak the
     client's.  Frames whose header version differs from
-    {!protocol_version} are rejected at decode time. *)
+    {!protocol_version} are rejected at decode time, so a version-1 peer
+    gets an [Unsupported_version] error, never a mis-parsed payload. *)
 
 val protocol_version : int
 
@@ -118,6 +144,12 @@ val error_code_of_wire_error : wire_error -> error_code
     exceeds 65535 bytes, a pin list exceeds 65535 entries, or the
     payload would exceed {!max_payload}. *)
 val encode : id:int -> msg -> Bytes.t
+
+(** [payload_bytes msg] is the exact payload size {!encode} produces for
+    [msg] (the frame is {!header_bytes} more), computed without encoding
+    it: what a client checks against {!max_payload} when it splits a
+    batch across frames, for the request and for its reply. *)
+val payload_bytes : msg -> int
 
 type header = {
   h_version : int;

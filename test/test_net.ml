@@ -153,6 +153,12 @@ let hex_of_bytes b =
        (fun c -> Printf.sprintf "%02x" (Char.code c))
        (List.of_seq (Bytes.to_seq b)))
 
+(* Each frame is written out field by field: the 16-byte header (magic
+   "GK", version 02, type, id, payload length, CRC-32 of the payload)
+   and then the payload.  Assignments travel in runs: a u32 run count,
+   then per run a u16 pin count, the u16-length pin names, a u32
+   assignment count and one packed-bit assignment of max 1 ⌈n/8⌉ bytes
+   each, pin i at bit i mod 8 of byte i / 8 (LSB first). *)
 let test_golden_frames () =
   let q =
     Wire.Query_batch
@@ -162,32 +168,89 @@ let test_golden_frames () =
       }
   in
   let r = Wire.Batch_result [ [ ("G17", false) ]; [ ("G17", true); ("G11", false) ] ] in
+  let shared =
+    Wire.Batch_result
+      [ [ ("G17", false); ("G11", true) ]; [ ("G17", true); ("G11", true) ] ]
+  in
+  let nine =
+    Wire.Result
+      (List.init 9 (fun i -> (Printf.sprintf "a%d" i, i = 0 || i = 8)))
+  in
+  (* 474b 02 04 01020304 00000023 8e264056 (35-byte payload):
+     0003 733237       design "s27"
+     00000002          two runs (the pin lists differ)
+     0002 0002 4730 0002 4731 00000001 01
+                       pins G0 G1, one assignment: G0=1 (bit 0), G1=0
+     0001 0002 4732 00000001 01
+                       pin G2, one assignment: G2=1 *)
   Alcotest.(check string) "query_batch frame"
-    "474b0104010203040000001c14a386d8000373323700000002000200024730010002473100\
-     00010002473201"
+    "474b020401020304000000238e264056\
+     0003733237\
+     00000002\
+     00020002473000024731\
+     0000000101\
+     00010002473200000001\
+     01"
     (hex_of_bytes (Wire.encode ~id:0x01020304 q));
+  (* 474b 02 84 00000007 00000021 266fc2dc (33-byte payload):
+     00000002          two runs
+     0001 0003 473137 00000001 00
+                       pin G17, one assignment: G17=0
+     0002 0003 473137 0003 473131 00000001 01
+                       pins G17 G11, one assignment: G17=1, G11=0 *)
   Alcotest.(check string) "batch_result frame"
-    "474b0184000000070000001aa09a17290000000200010003473137000002000347313701\
-     000347313100"
-    (hex_of_bytes (Wire.encode ~id:7 r))
+    "474b02840000000700000021266fc2dc\
+     00000002\
+     0001000347313700000001\
+     00\
+     00020003473137000347313100000001\
+     01"
+    (hex_of_bytes (Wire.encode ~id:7 r));
+  (* 474b 02 84 00000009 00000016 9aacb288 (22-byte payload):
+     00000001          one run: both assignments share pins G17 G11
+     0002 0003 473137 0003 473131
+     00000002 02 03    two assignments: (0,1) -> 0b10, (1,1) -> 0b11 *)
+  Alcotest.(check string) "batch_result frame with a shared run"
+    "474b028400000009000000169aacb288\
+     00000001\
+     000200034731370003473131\
+     00000002\
+     0203"
+    (hex_of_bytes (Wire.encode ~id:9 shared));
+  (* 474b 02 83 0000000a 00000030 a2fcd353 (48-byte payload):
+     00000001          one run
+     0009 0002 6130 ... 0002 6138
+                       pins a0 .. a8
+     00000001 01 01    one assignment over 9 pins, 2 bytes: a0=1 is bit
+                       0 of byte 0, a8=1 bit 0 of byte 1, whose bits
+                       1-7 are zero padding *)
+  Alcotest.(check string) "result frame across a byte boundary"
+    "474b02830000000a00000030a2fcd353\
+     00000001\
+     0009000261300002613100026132000261330002613400026135000261360002613700026138\
+     00000001\
+     0101"
+    (hex_of_bytes (Wire.encode ~id:10 nine))
 
 (* ----- the exact max_payload boundary ----- *)
 
 (* A [Batch_result] with one assignment whose pin names are tuned so the
-   encoded payload is exactly [bytes]: 4 (result count) + 2 (pin count)
-   + per pin a 2-byte name length, the name, and a bool byte.  Pin names
-   are u16-length on the wire, so the bulk is made of 997-byte names
-   (1000 wire bytes each) and one final name absorbs the remainder. *)
+   encoded payload is exactly [bytes]: 4 (run count) + 2 (pin count) +
+   per pin a 2-byte name length and the name + 4 (assignment count) +
+   ⌈n/8⌉ bytes of packed values for the [n] pins.  Pin names are
+   u16-length on the wire, so the bulk is [n - 1] 998-byte names (1000
+   wire bytes each) and one final name absorbs the remainder; taking
+   [n = body / 1001] leaves that remainder between 2 and 2 + 65535. *)
 let batch_result_of_bytes bytes =
-  let body = bytes - 6 in
-  assert (body >= 2003);
-  let full = (body / 1000) - 1 in
-  let rem = body - (full * 1000) in
+  let body = bytes - 10 in
+  let n = body / 1001 in
+  let rem = body - ((n + 7) / 8) - ((n - 1) * 1000) in
+  assert (n >= 2 && rem >= 2 && rem - 2 <= 0xffff);
   let pins =
-    List.init full (fun i ->
-        (Printf.sprintf "%06d%s" i (String.make 991 'p'), i land 1 = 1))
+    List.init (n - 1) (fun i ->
+        (Printf.sprintf "%06d%s" i (String.make 992 'p'), i land 1 = 1))
   in
-  Wire.Batch_result [ pins @ [ (String.make (rem - 3) 'q', true) ] ]
+  Wire.Batch_result [ pins @ [ (String.make (rem - 2) 'q', true) ] ]
 
 let qc_payload_boundary =
   (* the cap is exact on both sides of the codec: a payload of
@@ -244,6 +307,183 @@ let test_bad_magic () =
   match Wire.decode b with
   | Error Wire.Bad_magic -> ()
   | Ok _ | Error _ -> Alcotest.fail "bad magic not rejected as such"
+
+(* ----- the run layout: exact sizes and hostile input ----- *)
+
+let qc_payload_bytes =
+  Qc.qcheck ~count:500 "payload_bytes is the encoded payload size" arb_frame
+    (fun (id, msg) ->
+      Wire.payload_bytes msg
+      = Bytes.length (Wire.encode ~id msg) - Wire.header_bytes)
+
+(* A frame around [payload] with a correct length and CRC, so the
+   payload parser is what decides. *)
+let raw_frame ?(version = Wire.protocol_version) ~typ payload =
+  let len = Bytes.length payload in
+  let b = Bytes.create (Wire.header_bytes + len) in
+  Bytes.blit_string "GK" 0 b 0 2;
+  Bytes.set_uint8 b 2 version;
+  Bytes.set_uint8 b 3 typ;
+  Bytes.set_int32_be b 4 1l;
+  Bytes.set_int32_be b 8 (Int32.of_int len);
+  Bytes.blit payload 0 b Wire.header_bytes len;
+  Bytes.set_int32_be b 12 (Wire.crc32 b ~pos:Wire.header_bytes ~len);
+  b
+
+let refresh_crc b =
+  let len = Bytes.length b - Wire.header_bytes in
+  Bytes.set_int32_be b 12 (Wire.crc32 b ~pos:Wire.header_bytes ~len)
+
+let malformed = function Error (Wire.Malformed _) -> true | _ -> false
+
+let qc_counts_bounded =
+  (* a Batch_result payload announcing arbitrary run, pin and assignment
+     counts over a few real bytes: decoding allocates in proportion to
+     the payload (at most 8 pins of 3 words per byte), never to the
+     counts, and a count the bytes cannot back is Malformed *)
+  Qc.qcheck ~count:500 "run and assignment counts are bounded by the payload"
+    (QCheck.make
+       ~print:(fun (r, n, m, tail) ->
+         Printf.sprintf "runs %d, pins %d, count %d, %d tail bytes" r n m
+           (String.length tail))
+       QCheck.Gen.(
+         let u32 =
+           oneof
+             [
+               int_bound 8;
+               map (fun k -> 0xFFFFFFFF - k) (int_bound 8);
+               int_bound 0xFFFFFFF;
+             ]
+         in
+         quad u32 (int_bound 3) u32
+           (string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 24))))
+    (fun (runs, n, m, tail) ->
+      let p = Buffer.create 64 in
+      Buffer.add_int32_be p (Int32.of_int runs);
+      Buffer.add_uint16_be p n;
+      for i = 1 to n do
+        Buffer.add_uint16_be p 1;
+        Buffer.add_char p (Char.chr (0x60 + i))
+      done;
+      Buffer.add_int32_be p (Int32.of_int m);
+      Buffer.add_string p tail;
+      let b = raw_frame ~typ:0x84 (Buffer.to_bytes p) in
+      let before = Gc.minor_words () in
+      let r = Wire.decode b in
+      let words = Gc.minor_words () -. before in
+      let bytes = Bytes.length b in
+      if words > float_of_int ((32 * bytes) + 256) then
+        QCheck.Test.fail_reportf "%.0f words allocated for a %d-byte frame"
+          words bytes
+      else
+        let unbacked =
+          runs * 7 > Buffer.length p - 4
+          || m * max 1 ((n + 7) / 8) > String.length tail
+        in
+        match r with
+        | Ok _ -> not unbacked
+        | Error (Wire.Malformed _) -> true
+        | Error e -> QCheck.Test.fail_report (Wire.wire_error_message e))
+
+(* Assignments come last in all four payloads that carry them, so the
+   payload's last byte holds the last assignment's padding bits. *)
+let qc_padding_rejected =
+  Qc.qcheck ~count:500 "non-zero padding bits are Malformed"
+    (QCheck.make
+       ~print:(fun (kind, _, last, bit) ->
+         Printf.sprintf "kind %d, last assignment of %d pins, bit %d" kind
+           (List.length last) bit)
+       QCheck.Gen.(
+         quad (int_bound 3) (list_size (0 -- 3) gen_assignment)
+           (list_size (0 -- 20) (pair gen_name bool))
+           (int_bound 7)))
+    (fun (kind, prefix, last, bit) ->
+      (* at least one padding bit: a pin count that is 0 or not a
+         multiple of 8 *)
+      let last =
+        let n = List.length last in
+        if n > 0 && n mod 8 = 0 then List.tl last else last
+      in
+      let n = List.length last in
+      let pad = n - (8 * (max 1 ((n + 7) / 8) - 1)) in
+      let bit = pad + (bit mod (8 - pad)) in
+      let msg =
+        match kind with
+        | 0 -> Wire.Query { design = "d"; assignment = last }
+        | 1 -> Wire.Result last
+        | 2 -> Wire.Query_batch { design = "d"; assignments = prefix @ [ last ] }
+        | _ -> Wire.Batch_result (prefix @ [ last ])
+      in
+      let b = Wire.encode ~id:3 msg in
+      let i = Bytes.length b - 1 in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lor (1 lsl bit));
+      refresh_crc b;
+      malformed (Wire.decode b))
+
+let qc_canonical =
+  (* a payload byte flipped under a fixed-up CRC reaches the parser:
+     whatever it accepts must be the one encoding of what it returns *)
+  Qc.qcheck ~count:1000 "every accepted frame re-encodes to the same bytes"
+    (QCheck.make
+       ~print:(fun ((f, _), _) -> print_frame f)
+       QCheck.Gen.(
+         pair
+           (pair (pair (int_bound 0xFFFFFFF) gen_msg) (int_bound 10_000))
+           (int_bound 255)))
+    (fun (((id, msg), pos), v) ->
+      let b = Wire.encode ~id msg in
+      let len = Bytes.length b - Wire.header_bytes in
+      if len > 0 then begin
+        let pos = Wire.header_bytes + (pos mod len) in
+        Bytes.set_uint8 b pos ((Bytes.get_uint8 b pos + 1 + v) land 0xff);
+        refresh_crc b
+      end;
+      match Wire.decode b with
+      | Ok { Wire.id; msg } -> Bytes.equal (Wire.encode ~id msg) b
+      | Error _ -> true)
+
+let bytes_of_hex h =
+  let h = String.concat "" (String.split_on_char ' ' h) in
+  Bytes.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_non_canonical_runs () =
+  let check name typ hex =
+    Alcotest.(check bool) name true
+      (malformed (Wire.decode (raw_frame ~typ (bytes_of_hex hex))))
+  in
+  (* two runs over the same pin "a": the encoder writes one run of 2 *)
+  check "adjacent runs with the same pin list" 0x84
+    "00000002 0001 0001 61 00000001 01 0001 0001 61 00000001 00";
+  check "two zero-pin runs" 0x84
+    "00000002 0000 00000001 00 0000 00000001 00";
+  check "a run of no assignments" 0x84 "00000001 0001 0001 61 00000000";
+  (* a Query carries exactly one assignment *)
+  check "a query of two assignments" 0x03
+    "0001 64 00000001 0000 00000002 00 00"
+
+let test_s5378_frames_small () =
+  (* the benchmark's round trip: 63 queries over s5378's 198 sources
+     and their answers over its 212 outputs, each one run *)
+  let chip = fst (Combinationalize.run (Benchmarks.by_name "s5378")) in
+  let o = Oracle.of_netlist ~memo:false chip in
+  let rng = Random.State.make [| 5378 |] in
+  let qs =
+    List.init 63 (fun _ ->
+        List.map (fun p -> (p, Random.State.bool rng)) (Oracle.input_names o))
+  in
+  let req =
+    Wire.encode ~id:1
+      (Wire.Query_batch { design = "s5378"; assignments = qs })
+  in
+  let rep = Wire.encode ~id:1 (Wire.Batch_result (Oracle.query_batch o qs)) in
+  List.iter
+    (fun (name, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s frame is %d bytes <= 4096" name (Bytes.length b))
+        true
+        (Bytes.length b <= 4096))
+    [ ("query_batch", req); ("batch_result", rep) ]
 
 (* ----- Oracle.of_fn ~batch (no sockets) ----- *)
 
@@ -723,12 +963,19 @@ let test_concurrent_batches () =
 
 (* ----- oversized replies degrade to structured errors ----- *)
 
-let fat_netlist n_outs =
+(* One input, 2000 outputs with 8378-byte names.  A Batch_result is one
+   run: 4 + 2 + 2000 x (2 + 8378) + 4 = 16,760,010 bytes of run header,
+   then 250 bytes of packed bits per query, so it fits
+   [Wire.max_payload] (16,777,216) for up to 68 queries and no more.
+   The request is one run over pin "a": a byte per query. *)
+let fat_netlist () =
   let n = Netlist.create "fat" in
   let a = Netlist.add_input n "a" in
-  for i = 0 to n_outs - 1 do
+  for i = 0 to 1999 do
     let g = Netlist.add_gate n Cell.Buf [| a |] in
-    Netlist.add_output n (Printf.sprintf "out_%04d_%s" i (String.make 58 'o')) g
+    Netlist.add_output n
+      (Printf.sprintf "out_%04d_%s" i (String.make 8369 'o'))
+      g
   done;
   n
 
@@ -738,11 +985,11 @@ let contains hay needle =
   go 0
 
 let test_oversized_reply () =
-  (* 2000 outputs x ~70 wire bytes each ≈ 140 kB per result: a 130-query
-     batch fits the request cap easily while its single Batch_result
-     would be ~18 MB > max_payload.  The reader thread must answer with
-     a structured error and keep serving, not die mid-write. *)
-  with_server [ ("fat", fat_netlist 2000) ] (fun _t path ->
+  (* a 130-query batch is a ~150-byte request, while its single
+     Batch_result would be 16,792,510 bytes > max_payload; 4 queries
+     give 16,761,010 bytes, which fit.  The reader thread must answer
+     with a structured error and keep serving, not die mid-write. *)
+  with_server [ ("fat", fat_netlist ()) ] (fun _t path ->
       let fd = Frame_io.connect (Frame_io.Unix_path path) in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -772,6 +1019,29 @@ let test_oversized_reply () =
       match recv fd with
       | { Wire.id = 4; msg = Wire.Pong } -> ()
       | _ -> Alcotest.fail "no pong after an oversized reply")
+
+let test_chunks_sized_by_reply () =
+  (* the 130 queries that [test_oversized_reply] sends as one frame: the
+     request is tiny, but the reply fits only up to 68 queries, so
+     [Remote_oracle] must split on the exact reply size, here into two
+     halves of 65 *)
+  with_server [ ("fat", fat_netlist ()) ] (fun _t path ->
+      let r =
+        Remote_oracle.connect ~client:"fat" ~memo:false
+          (Frame_io.Unix_path path)
+      in
+      Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+      let queries = List.init 130 (fun i -> [ ("a", i land 1 = 1) ]) in
+      Obs.Metrics.reset ();
+      let got = Oracle.query_batch (Remote_oracle.oracle r) queries in
+      List.iteri
+        (fun i res ->
+          if List.exists (fun (_, v) -> v <> (i land 1 = 1)) res then
+            Alcotest.failf "query %d: outputs do not follow input a" i)
+        got;
+      Alcotest.(check int) "every query answered" 130 (List.length got);
+      Alcotest.(check int) "two frames" 2
+        (fst (histogram_stats "gklockd.eval_s")))
 
 (* ----- client-side chunk sizing under an extreme reply/query ratio ----- *)
 
@@ -817,6 +1087,137 @@ let test_chunk_sizing_wide_reply () =
           if want <> have then
             Alcotest.failf "query %d: remote result differs from local" i)
         (List.combine expected got))
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+(* ----- a wide batch is one frame ----- *)
+
+let test_wide_batch_one_frame () =
+  (* 1008 queries over s38417's 1592 sources: about 20 MB with a name
+     and a byte per pin, about 220 KB as one run of packed bits, so the
+     whole batch goes out as one Query_batch frame and one evaluation *)
+  with_server [ ("s38417", Benchmarks.by_name "s38417") ] (fun _t path ->
+      let r =
+        Remote_oracle.connect ~client:"wide" ~memo:false
+          (Frame_io.Unix_path path)
+      in
+      Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+      let pins =
+        match Remote_oracle.designs r with
+        | [ d ] -> Array.of_list d.Wire.d_inputs
+        | _ -> Alcotest.fail "expected one hosted design"
+      in
+      let tru = Array.map (fun p -> (p, true)) pins in
+      let fls = Array.map (fun p -> (p, false)) pins in
+      let rng = Random.State.make [| 38417 |] in
+      let queries =
+        List.init 1008 (fun _ ->
+            Array.to_list
+              (Array.init (Array.length pins) (fun i ->
+                   if Random.State.bool rng then tru.(i) else fls.(i))))
+      in
+      Obs.Metrics.reset ();
+      let got = Oracle.query_batch (Remote_oracle.oracle r) queries in
+      Alcotest.(check int) "every query answered" 1008 (List.length got);
+      Alcotest.(check int) "one frame decoded" 1
+        (fst (histogram_stats "gklockd.decode_s"));
+      Alcotest.(check int) "one evaluation" 1
+        (fst (histogram_stats "gklockd.eval_s"));
+      Alcotest.(check int) "all 1008 queries in it" 1008
+        (counter "gklockd.queries"))
+
+(* ----- protocol version 1 is refused, not mis-parsed ----- *)
+
+let test_version_mismatch () =
+  with_server [ ("s27", Benchmarks.s27 ()) ] (fun _t path ->
+      let addr = Frame_io.Unix_path path in
+      let unsupported what = function
+        | { Wire.msg = Wire.Error { code = Wire.Unsupported_version; _ }; _ } ->
+          ()
+        | { Wire.msg; _ } ->
+          Alcotest.failf "%s: expected unsupported_version, got %s" what
+            (Wire.msg_type_name msg)
+      in
+      (* a version-1 Query frame: design "s27", one pin G0 as a
+         (u16-length name, bool byte) pair *)
+      let v1 = Frame_io.connect addr in
+      Fun.protect ~finally:(fun () -> Unix.close v1) (fun () ->
+          let b =
+            raw_frame ~version:1 ~typ:0x03
+              (bytes_of_hex "0003 733237 0001 0002 4730 01")
+          in
+          ignore (Unix.write v1 b 0 (Bytes.length b));
+          unsupported "version-1 header" (recv v1);
+          (* the unread payload may turn the server's close into a reset *)
+          match Frame_io.read_frame v1 with
+          | Error (`Eof | `Unix _) -> ()
+          | _ -> Alcotest.fail "connection kept after a version-1 frame");
+      (* a version-2 frame whose Hello asks for protocol 1 *)
+      let h1 = Frame_io.connect addr in
+      Fun.protect ~finally:(fun () -> Unix.close h1) (fun () ->
+          send h1 ~id:1 (Wire.Hello { client = "old"; proto = 1 });
+          unsupported "hello for protocol 1" (recv h1));
+      (* and a version-2 client on another connection is served *)
+      let r = Remote_oracle.connect ~client:"v2" addr in
+      Fun.protect ~finally:(fun () -> Remote_oracle.close r) @@ fun () ->
+      let local =
+        Oracle.of_netlist (fst (Combinationalize.run (Benchmarks.s27 ())))
+      in
+      let q = List.map (fun p -> (p, true)) (Oracle.input_names local) in
+      Alcotest.(check (list (pair string bool))) "v2 client answered"
+        (Oracle.query local q)
+        (Oracle.query (Remote_oracle.oracle r) q))
+
+(* ----- per-frame stage histograms ----- *)
+
+let test_stage_histograms () =
+  let mfile = Filename.temp_file "gklockd_stages" ".json" in
+  let config =
+    {
+      Gkd_server.default_config with
+      Gkd_server.metrics_out = Some mfile;
+      metrics_interval_s = 3600.0;
+    }
+  in
+  let stages = [ "gklockd.decode_s"; "gklockd.eval_s"; "gklockd.encode_s" ] in
+  with_server ~config [ ("s27", Benchmarks.s27 ()) ] (fun t path ->
+      let pins =
+        Oracle.input_names (Option.get (Gkd_server.design_oracle t "s27"))
+      in
+      let fd = Frame_io.connect (Frame_io.Unix_path path) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Obs.Metrics.reset ();
+      let assignments =
+        List.init 3 (fun i ->
+            List.mapi (fun b p -> (p, (i lsr b) land 1 = 1)) pins)
+      in
+      send fd ~id:1 (Wire.Query_batch { design = "s27"; assignments });
+      (match recv fd with
+      | { Wire.id = 1; msg = Wire.Batch_result rs } ->
+        Alcotest.(check int) "batch answered" 3 (List.length rs)
+      | { Wire.msg; _ } ->
+        Alcotest.failf "expected a batch result, got %s"
+          (Wire.msg_type_name msg));
+      List.iter
+        (fun h ->
+          Alcotest.(check int) (h ^ ": one observation") 1
+            (fst (histogram_stats h)))
+        stages);
+  let dump = read_file mfile in
+  Sys.remove mfile;
+  match Cjson.of_string dump with
+  | Ok (Cjson.Obj kvs) ->
+    List.iter
+      (fun h ->
+        Alcotest.(check bool) (h ^ " in the metrics dump") true
+          (List.mem_assoc h kvs))
+      stages
+  | Ok _ | Error _ -> Alcotest.fail "metrics dump is not a JSON object"
 
 (* ----- tcp shutdown gating ----- *)
 
@@ -908,13 +1309,6 @@ let test_client_counter_cap () =
 
 (* ----- metrics dump + clean shutdown ----- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let test_metrics_dump_and_shutdown () =
   let mfile = Filename.temp_file "gklockd_metrics" ".json" in
   let config =
@@ -977,7 +1371,10 @@ let suites =
     ( "net-wire",
       [
         qc_roundtrip; qc_truncated; qc_mutated; qc_garbage;
-        qc_payload_boundary; qc_crc_reference;
+        qc_payload_boundary; qc_crc_reference; qc_payload_bytes;
+        qc_counts_bounded; qc_padding_rejected; qc_canonical;
+        tc "non-canonical runs rejected" `Quick test_non_canonical_runs;
+        tc "63-query s5378 frames fit 4 KB" `Quick test_s5378_frames_small;
         tc "crc32 check value" `Quick test_crc_check_value;
         tc "golden batch frames" `Quick test_golden_frames;
         tc "oversized length rejected" `Quick test_oversized;
@@ -1006,11 +1403,18 @@ let suites =
         tc "oversized reply is a structured error" `Slow test_oversized_reply;
         tc "chunk sizing survives a wide-reply design" `Slow
           test_chunk_sizing_wide_reply;
+        tc "chunks split on the exact reply size" `Slow
+          test_chunks_sized_by_reply;
         tc "tcp shutdown is gated" `Quick test_tcp_shutdown_gating;
         tc "per-client counters are capped" `Quick test_client_counter_cap;
         tc "1k malformed frames: alive, nothing leaked" `Slow
           test_malformed_fuzz;
         tc "metrics dump and clean shutdown" `Quick
           test_metrics_dump_and_shutdown;
+        tc "a 1008-query s38417 batch is one frame" `Slow
+          test_wide_batch_one_frame;
+        tc "protocol version 1 is refused" `Quick test_version_mismatch;
+        tc "one batch frame, one observation per stage" `Quick
+          test_stage_histograms;
       ] );
   ]
